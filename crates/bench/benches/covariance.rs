@@ -82,13 +82,26 @@ fn blocked_scan(x: &Matrix) -> CovarianceAccumulator {
     acc
 }
 
-/// Temp `RRCB` file holding the workload, for the columnar-ingest case.
-fn block_file(x: &Matrix, tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("rr_bench_{}", std::process::id()));
+/// Temp `RRCB` file holding the workload, for the columnar-ingest case,
+/// in a directory of its own that is removed with it on drop.
+struct BlockFile {
+    dir: std::path::PathBuf,
+    path: std::path::PathBuf,
+}
+
+impl Drop for BlockFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+fn block_file(x: &Matrix, tag: &str) -> BlockFile {
+    let dir = std::env::temp_dir().join(format!("rr_bench_{}_{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(format!("{tag}.rrcb"));
-    write_block_file(&path, x.cols(), x.rows(), x.data()).expect("write rrcb");
-    path
+    let file = BlockFile { dir, path };
+    write_block_file(&file.path, x.cols(), x.rows(), x.data()).expect("write rrcb");
+    file
 }
 
 fn columnar_scan(path: &std::path::Path) -> CovarianceAccumulator {
@@ -123,9 +136,10 @@ fn emit_trajectory() {
     let data = quest_matrix(n, 100);
     let x = data.matrix();
     let rows = Some(n as u64);
-    let path = block_file(x, "trajectory_20k");
+    let file = block_file(x, "trajectory_20k");
+    let path = &file.path;
     // Refuse to record numbers for a kernel that changed the answer.
-    divergence_check(x, &path, 4);
+    divergence_check(x, path, 4);
 
     let mut report = BenchReport::new("covariance");
     report.push(measure("scalar_reference_20k_x_100", 5, rows, || {
@@ -160,7 +174,7 @@ fn emit_trajectory() {
         ));
     }
     report.push(measure("columnar_ingest_20k_x_100", 5, rows, || {
-        std::hint::black_box(columnar_scan(&path).finalize().expect("finalize"));
+        std::hint::black_box(columnar_scan(path).finalize().expect("finalize"));
     }));
     // Wide workload: at m = 100 the 40 KB packed triangle is cache
     // resident and blocking is nearly neutral; at m = 600 the 1.4 MB
@@ -209,8 +223,9 @@ fn emit_trajectory() {
 fn quick_smoke() {
     let data = quest_matrix(2_000, 50);
     let x = data.matrix();
-    let path = block_file(x, "quick_2k");
-    divergence_check(x, &path, 4);
+    let file = block_file(x, "quick_2k");
+    let path = &file.path;
+    divergence_check(x, path, 4);
     let mut report = BenchReport::new("covariance_quick");
     report.push(measure("scalar_reference_2k_x_50", 2, Some(2_000), || {
         std::hint::black_box(scalar_scan(x).raw_upper[0]);
@@ -219,7 +234,7 @@ fn quick_smoke() {
         std::hint::black_box(blocked_scan(x).finalize().expect("finalize"));
     }));
     report.push(measure("columnar_ingest_2k_x_50", 2, Some(2_000), || {
-        std::hint::black_box(columnar_scan(&path).finalize().expect("finalize"));
+        std::hint::black_box(columnar_scan(path).finalize().expect("finalize"));
     }));
     // Printed, never persisted: --quick must not churn the trajectory.
     println!("{}", report.to_json());

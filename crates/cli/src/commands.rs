@@ -1664,10 +1664,29 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
-    fn workdir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("rr_cli_{}", std::process::id()));
+    /// A directory of one test's own under the system temp dir, removed with
+    /// everything in it when dropped, so also when the test fails.
+    struct TempDir(std::path::PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = std::path::Path;
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn workdir() -> TempDir {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("rr_cli_{}_{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        TempDir(dir)
     }
 
     fn write_linear_csv(path: &std::path::Path) {

@@ -2,17 +2,36 @@
 //! end to end (Cargo builds it and exposes the path via
 //! `CARGO_BIN_EXE_ratio-rules`).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn binary() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ratio-rules"))
 }
 
-fn workdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rr_bin_{}", std::process::id()));
+/// A directory of one test's own under the system temp dir, removed with
+/// everything in it when dropped, so also when the test fails.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn workdir() -> TempDir {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("rr_bin_{}_{n}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 fn write_sales_csv(path: &std::path::Path) {

@@ -17,16 +17,21 @@
 //! folds the whole panel at once — a rank-B update. The triangle is then
 //! streamed once per *panel* instead of once per row.
 //!
-//! Inside a panel the fold works in register blocks: two pivot rows
-//! `j, j + 1` times 8 columns `l..l + 8`, 16 accumulators that fit in 8
-//! SSE2 registers (baseline x86-64) or 4 AVX2 ones. Per panel row a block
-//! loads the two pivot values and 8 column values once and does 16
-//! independent multiply-adds, so each loaded value feeds two pivots and
-//! the 16 `+=` chains hide each other's latency. Pivots go in pairs; a
-//! pair's strip is columns `j + 1..m` (it holds the rest of the 2x2
-//! corner), swept in 2x8 blocks with a 2x4, 2x2, 2x1 cascade for the
-//! last `(m - j - 1) mod 8` columns. The corner's `(j, j)` is a 1x1
-//! block, and for odd `M` so is the last pivot's diagonal.
+//! Inside a panel the fold works in register blocks: `P` pivot rows
+//! `j..j + P` times 8 columns `l..l + 8`. The baseline build takes
+//! `P = 2`, 16 accumulators in 8 SSE2 registers; the AVX2 build takes
+//! `P = 4`, 32 accumulators in 8 ymm registers (next section). Per panel
+//! row a block loads the `P` pivot values and 8 column values once and
+//! does `8P` independent multiply-adds, so each loaded column value feeds
+//! `P` pivots and the `8P` `+=` chains hide each other's latency. Pivots
+//! go in groups of `P`; a group's strip is columns `j + P - 1..m`, which
+//! every pivot of the group holds, swept in Px8 blocks with a Px4, Px2,
+//! Px1 cascade for the last `(m - j - P + 1) mod 8` columns. The corner
+//! left of the strip is the 1x1 block `(j, j)` for `P = 2`; for `P = 4`
+//! it is `(j, j)`, the 2x2 block `(j..j + 2, j + 1..j + 3)` and
+//! `(j + 2, j + 2)`. Pivots left over after the last full group go in a
+//! 2-pivot group, then a 1-pivot one, whose strip starts at its own
+//! diagonal.
 //!
 //! The kernel it replaced folded one pivot row at a time in 16-column
 //! tiles and finished each row's last `(m - j) mod 16` entries one by
@@ -38,20 +43,24 @@
 //!
 //! # Kernel instantiations
 //!
-//! The kernel has one source, `fold_kernel` plus `fold_block`, compiled
-//! twice: once for the baseline target, once inside a
-//! `#[target_feature(enable = "avx2")]` wrapper. `fold_panel`, which every
-//! fold in the crate calls, asks `is_x86_feature_detected!("avx2")` and
-//! runs the AVX2 build where the CPU has it, the baseline build on every
-//! other CPU and architecture. No flag, feature or build setting picks
-//! one; the CPU does. AVX2 puts four f64 in a register instead of two, and
-//! its build folds 1.35-1.8x faster than the baseline build at M = 20,
-//! 100 and 600 (`EXPERIMENTS.md`, "Blocked kernel"). Only `avx2` is
-//! enabled, not `fma`, so both builds run the same IEEE operations per
-//! entry (next section): a model mined with and without AVX2 is
-//! byte-identical. The call into the wrapper is the workspace's one
-//! `unsafe` block (`docs/LINTS.md`, RR006): without a build setting,
-//! safe code cannot call a `#[target_feature]` function.
+//! The kernel has one source, `fold_kernel` with `fold_pivots` and
+//! `fold_block`, compiled twice: once for the baseline target with 2
+//! pivots per group, once inside a `#[target_feature(enable = "avx2")]`
+//! wrapper with 4. `fold_panel`, which every fold in the crate calls,
+//! asks `is_x86_feature_detected!("avx2")` and runs the AVX2 build where
+//! the CPU has it, the baseline build on every other CPU and
+//! architecture. No flag, feature or build setting picks one; the CPU
+//! does. AVX2 puts four f64 in a register instead of two, so 8 of its 16
+//! registers hold the 4x8 block's 32 accumulators; the baseline build's
+//! 16 xmm registers cannot, and 4 pivots fold slower there than 2. The
+//! AVX2 build folds 1.6-2.1x faster than the baseline build at M = 20,
+//! 100 and 600, and 1.16-1.27x faster than it would with 2 pivots
+//! (`EXPERIMENTS.md`, "Blocked kernel"). Only `avx2` is enabled, not
+//! `fma`, so both builds run the same IEEE operations per entry (next
+//! section): a model mined with and without AVX2 is byte-identical. The
+//! call into the wrapper is the workspace's one `unsafe` block
+//! (`docs/LINTS.md`, RR006): without a build setting, safe code cannot
+//! call a `#[target_feature]` function.
 //!
 //! # Bit-exactness
 //!
@@ -60,10 +69,11 @@
 //! [`CovarianceAccumulator::push_row`] / [`CovarianceAccumulator::push_block`]
 //! calls: for each triangle entry the fold loads the accumulator, adds
 //! exactly one product per row *in row arrival order*, and stores it
-//! back. Every block of the cascade — 2x8, 2x4, 2x2, 2x1 and 1x1 — does
-//! exactly that for each of its entries, and together the blocks cover
-//! every entry of the triangle exactly once per panel, so the block
-//! shapes only decide which entries share a loop. Rust does not contract
+//! back. Every block — the strips' Px8, Px4, Px2 and Px1, the corners'
+//! 2x2 and 1x1 — does exactly that for each of its entries, and together
+//! the blocks cover every entry of the triangle exactly once per panel,
+//! so the pivot count and the block shapes only decide which entries
+//! share a loop. Rust does not contract
 //! `a + x*y` into a fused multiply-add, and `x_j * x_l` is the same
 //! product in either operand order, so the sequence of f64 operations per
 //! entry is the same as the scalar walk's — only the iteration order
@@ -84,7 +94,7 @@ use linalg::Matrix;
 pub const DEFAULT_BLOCK_ROWS: usize = 64;
 
 /// Columns in the fold's widest register block (see [`fold_block`]):
-/// two pivots x 8 columns is 16 independent f64 accumulators.
+/// `P` pivots x 8 columns is `8P` independent f64 accumulators.
 const BLOCK_COLS: usize = 8;
 
 /// Streaming accumulator for column averages and the covariance (scatter)
@@ -447,17 +457,17 @@ fn fold_panel(m: usize, col_sums: &mut [f64], raw_upper: &mut [f64], panel: &[f6
         // SAFETY: `fold_panel_avx2` needs only AVX2, and the
         // `is_x86_feature_detected!("avx2")` check above found it on
         // this CPU.
-        // rrlint-allow: RR006 the one call into the AVX2 build of the fold kernel: no safe code reaches a target_feature fn without a build setting, and it folds 1.35-1.8x faster, bit for bit
+        // rrlint-allow: RR006 the one call into the AVX2 build of the fold kernel: no safe code reaches a target_feature fn without a build setting, and it folds 1.6-2.1x faster, bit for bit
         unsafe { fold_panel_avx2(m, col_sums, raw_upper, panel, rows) };
         return;
     }
-    fold_kernel(m, col_sums, raw_upper, panel, rows);
+    fold_kernel::<2>(m, col_sums, raw_upper, panel, rows);
 }
 
-/// [`fold_kernel`] compiled with AVX2 enabled: the same source, so the
-/// same f64 operation sequence per entry, with the 2x8 block in 4 ymm
-/// registers instead of 8 xmm ones. Only `avx2` is enabled, not `fma`,
-/// and Rust never contracts `a + x * y` either way.
+/// [`fold_kernel`] compiled with AVX2 enabled and 4 pivots per group:
+/// the same source, so the same f64 operation sequence per entry, with
+/// the 4x8 block's 32 accumulators in 8 ymm registers. Only `avx2` is
+/// enabled, not `fma`, and Rust never contracts `a + x * y` either way.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn fold_panel_avx2(
@@ -467,21 +477,29 @@ fn fold_panel_avx2(
     panel: &[f64],
     rows: usize,
 ) {
-    fold_kernel(m, col_sums, raw_upper, panel, rows);
+    fold_kernel::<4>(m, col_sums, raw_upper, panel, rows);
 }
 
 /// The kernel of [`fold_panel`], inlined into each instantiation; a direct
-/// call runs the baseline-target build.
+/// call runs the baseline-target build. `P` is the pivot rows per group:
+/// 2 or 4.
 ///
 /// Per triangle entry the accumulator is loaded once, receives exactly
 /// one `+= x_j * x_l` per row in row order, and is stored once — the same
 /// f64 operation sequence as the historical per-row walk (no FMA
 /// contraction in Rust), so the fold is bit-exact regardless of how rows
-/// were grouped into panels. Speed comes from streaming the triangle
-/// once per panel and from the [`fold_block`] cascade the module docs
-/// describe.
+/// were grouped into panels or pivots into groups. Speed comes from
+/// streaming the triangle once per panel and from the [`fold_pivots`]
+/// blocks the module docs describe.
 #[inline(always)]
-fn fold_kernel(m: usize, col_sums: &mut [f64], raw_upper: &mut [f64], panel: &[f64], rows: usize) {
+fn fold_kernel<const P: usize>(
+    m: usize,
+    col_sums: &mut [f64],
+    raw_upper: &mut [f64],
+    panel: &[f64],
+    rows: usize,
+) {
+    debug_assert!(P == 2 || P == 4);
     debug_assert_eq!(panel.len(), rows * m);
     if m == 0 {
         return;
@@ -493,37 +511,72 @@ fn fold_kernel(m: usize, col_sums: &mut [f64], raw_upper: &mut [f64], panel: &[f
             *s += x;
         }
     }
-    // `base` is the packed offset of (j, j); pivot row j + 1 starts at
-    // `next`, one full pivot row later. Entry (j + p, l) of a pair's
-    // strip sits at `base + (l - j)` and `next + (l - j - 1)`.
+    // `base` is the packed offset of (j, j). Groups of P pivots, then a
+    // 2-pivot group and a 1-pivot one for the pivots left over.
     let mut j = 0usize;
     let mut base = 0usize;
-    while j + 1 < m {
-        let next = base + (m - j);
-        fold_block::<1, 1>(raw_upper, [base], panel, m, j, j);
-        let mut l = j + 1;
-        let at = |l: usize| [base + (l - j), next + (l - j - 1)];
-        while l + BLOCK_COLS <= m {
-            fold_block::<2, BLOCK_COLS>(raw_upper, at(l), panel, m, j, l);
-            l += BLOCK_COLS;
-        }
-        if l + 4 <= m {
-            fold_block::<2, 4>(raw_upper, at(l), panel, m, j, l);
-            l += 4;
-        }
-        if l + 2 <= m {
-            fold_block::<2, 2>(raw_upper, at(l), panel, m, j, l);
-            l += 2;
-        }
-        if l < m {
-            fold_block::<2, 1>(raw_upper, at(l), panel, m, j, l);
-        }
-        base = next + (m - j - 1);
+    while j + P <= m {
+        base = fold_pivots::<P>(raw_upper, panel, m, j, base);
+        j += P;
+    }
+    if P > 2 && j + 2 <= m {
+        base = fold_pivots::<2>(raw_upper, panel, m, j, base);
         j += 2;
     }
     if j < m {
+        fold_pivots::<1>(raw_upper, panel, m, j, base);
+    }
+}
+
+/// Folds pivot rows `j..j + P` of the triangle, whose `(j, j)` entry sits
+/// at `base`, and returns the offset of `(j + P, j + P)`. The strip —
+/// columns `j + P - 1..m`, which every pivot of the group holds — goes in
+/// Px8 blocks with a Px4, Px2, Px1 cascade for the last
+/// `(m - j - P + 1) mod 8` columns. The corner left of it is folded first:
+/// `(j, j)` for `P = 2`; `(j, j)`, the 2x2 block `(j..j + 2, j + 1..j + 3)`
+/// and `(j + 2, j + 2)` for `P = 4`.
+#[inline(always)]
+fn fold_pivots<const P: usize>(
+    raw_upper: &mut [f64],
+    panel: &[f64],
+    m: usize,
+    j: usize,
+    base: usize,
+) -> usize {
+    // Pivot row j + p starts `m - j - p` entries after row j + p - 1, so
+    // its entry for column l sits at `row_at[p] + l`.
+    let mut row_at = [0usize; P];
+    let mut diag = base;
+    for (p, at) in row_at.iter_mut().enumerate() {
+        *at = diag - (j + p);
+        diag += m - j - p;
+    }
+    if P >= 2 {
         fold_block::<1, 1>(raw_upper, [base], panel, m, j, j);
     }
+    if P == 4 {
+        let next = base + (m - j);
+        fold_block::<2, 2>(raw_upper, [base + 1, next], panel, m, j, j + 1);
+        fold_block::<1, 1>(raw_upper, [next + (m - j - 1)], panel, m, j + 2, j + 2);
+    }
+    let at = |l: usize| row_at.map(|r| r + l);
+    let mut l = j + P - 1;
+    while l + BLOCK_COLS <= m {
+        fold_block::<P, BLOCK_COLS>(raw_upper, at(l), panel, m, j, l);
+        l += BLOCK_COLS;
+    }
+    if l + 4 <= m {
+        fold_block::<P, 4>(raw_upper, at(l), panel, m, j, l);
+        l += 4;
+    }
+    if l + 2 <= m {
+        fold_block::<P, 2>(raw_upper, at(l), panel, m, j, l);
+        l += 2;
+    }
+    if l < m {
+        fold_block::<P, 1>(raw_upper, at(l), panel, m, j, l);
+    }
+    diag
 }
 
 /// One register block of the panel fold: triangle entries
@@ -531,9 +584,9 @@ fn fold_kernel(m: usize, col_sums: &mut [f64], raw_upper: &mut [f64], panel: &[f
 /// for column `l` sits at `raw_upper[at[p]]`. The `P x W` accumulators
 /// are loaded once, take one `x_{j+p} * x_{l+c}` per panel row in row
 /// order, and are stored once. With constant `P` and `W` the loops
-/// unroll, so the block lives in registers: 2x8 is 16 f64, 8 SSE2
-/// registers in the baseline x86-64 build and 4 AVX2 ones in
-/// [`fold_panel_avx2`].
+/// unroll, so the block lives in registers: 2x8 is 16 f64 in 8 SSE2
+/// registers in the baseline x86-64 build, 4x8 is 32 f64 in 8 AVX2
+/// ones in [`fold_panel_avx2`].
 #[inline(always)]
 fn fold_block<const P: usize, const W: usize>(
     raw_upper: &mut [f64],
@@ -779,15 +832,16 @@ pub(crate) mod tests {
     }
 
     /// Property: the blocked kernel equals the scalar per-row walk
-    /// bit-for-bit across shapes, in both of its instantiations: every
-    /// width through 19 (each 2x8 / 2x4 / 2x2 / 2x1 tail mix and both
-    /// parities of M) plus M = 100, at N below, at, and just past one and
-    /// two default panels; M = 600 at one row and one panel plus one; and
-    /// random shapes with other panel heights, including N < B, N not
-    /// divisible by B, and a final partial panel. The accumulator folds
-    /// through `fold_panel`, which picks the AVX2 build on a CPU that has
-    /// it; each shape's panels also fold through the baseline build
-    /// directly, so an AVX2 host tests both builds.
+    /// bit-for-bit across shapes, at both pivot counts and in both
+    /// builds: every width through 19 (each Px8 / Px4 / Px2 / Px1 column
+    /// tail, and every 2- and 1-pivot tail after the 4-pivot groups) plus
+    /// M = 100, at N below, at, and just past one and two default panels;
+    /// M = 600 at one row and one panel plus one; and random shapes with
+    /// other panel heights, including N < B, N not divisible by B, and a
+    /// final partial panel. The accumulator folds through `fold_panel`,
+    /// which picks the AVX2 build on a CPU that has it; each shape's
+    /// panels also fold through the baseline build directly at 2 and at
+    /// 4 pivots, so an AVX2 host tests every combination it can run.
     #[test]
     fn blocked_equals_scalar_bitwise_across_shapes() {
         let mut rng = SplitMix64::seed_from_u64(0xB10C);
@@ -819,16 +873,21 @@ pub(crate) mod tests {
             assert_eq!(bn, scalar.n, "shape ({n},{m},{b})");
             assert_bits_eq(&bcs, &scalar.col_sums, &format!("col_sums ({n},{m},{b})"));
             assert_bits_eq(&bru, &scalar.raw_upper, &format!("raw_upper ({n},{m},{b})"));
-            let mut col_sums = vec![0.0; m];
-            let mut raw_upper = vec![0.0; m * (m + 1) / 2];
-            for panel in data.chunks(b * m) {
-                fold_kernel(m, &mut col_sums, &mut raw_upper, panel, panel.len() / m);
+            let kernels: [(usize, KernelFn); 2] = [(2, fold_kernel::<2>), (4, fold_kernel::<4>)];
+            for (pivots, kernel) in kernels {
+                let mut col_sums = vec![0.0; m];
+                let mut raw_upper = vec![0.0; m * (m + 1) / 2];
+                for panel in data.chunks(b * m) {
+                    kernel(m, &mut col_sums, &mut raw_upper, panel, panel.len() / m);
+                }
+                let what = format!("baseline, {pivots} pivots ({n},{m},{b})");
+                assert_bits_eq(&col_sums, &scalar.col_sums, &format!("col_sums {what}"));
+                assert_bits_eq(&raw_upper, &scalar.raw_upper, &format!("raw_upper {what}"));
             }
-            let what = format!("baseline ({n},{m},{b})");
-            assert_bits_eq(&col_sums, &scalar.col_sums, &format!("col_sums {what}"));
-            assert_bits_eq(&raw_upper, &scalar.raw_upper, &format!("raw_upper {what}"));
         }
     }
+
+    type KernelFn = fn(usize, &mut [f64], &mut [f64], &[f64], usize);
 
     /// Property: push_block equals push_row bit-for-bit for arbitrary
     /// block segmentations of the same row stream.

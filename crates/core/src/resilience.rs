@@ -311,11 +311,23 @@ impl Scanner {
     /// restarts. Returns the report (also available via
     /// [`Scanner::report`]).
     ///
-    /// The two halves of the loop run on two threads. The calling thread
-    /// reads each row straight into a staging panel, checks it (width
-    /// and finiteness, with [`CovarianceAccumulator::push_row`]'s check
-    /// and error text), does the quarantine and budget accounting and
-    /// honours the consumed limit. The first full panel starts a scoped
+    /// Every row is checked (width and finiteness, with
+    /// [`CovarianceAccumulator::push_row`]'s check and error text) on the
+    /// calling thread, which also does the quarantine and budget
+    /// accounting and honours the consumed limit.
+    ///
+    /// A source that lends its rows ([`RowSource::lend_rows`], an
+    /// in-memory matrix) is read in place, one panel's worth of rows at a
+    /// time: the consumed prefix is skipped through lent slices, and each
+    /// clean run of lent rows folds inline with
+    /// [`CovarianceAccumulator::push_block`], straight from the slice.
+    /// There is no parse to overlap, so there is no staging panel and no
+    /// fold thread.
+    ///
+    /// Any other source is read row by row, and the two halves of the
+    /// loop run on two threads. The calling thread reads each row
+    /// straight into a staging panel and checks it there. The first full
+    /// panel starts a scoped
     /// fold thread that owns the accumulator for the rest of the scan
     /// and absorbs each full panel with
     /// [`CovarianceAccumulator::push_block`], in arrival order, while the
@@ -359,18 +371,24 @@ impl Scanner {
         obs::counter_add("scan_transient_retries_total", 0);
         obs::gauge_set(obs::names::COVARIANCE_BLOCK_ROWS, self.acc.block_rows() as f64);
         source.rewind()?;
-        self.skip_consumed_prefix(source)?;
         let absorbed_before = self.report.rows_absorbed;
-        let acc = std::mem::replace(&mut self.acc, CovarianceAccumulator::new(0));
-        let (acc, outcome) = thread::scope(|scope| {
-            let mut fold = FoldStage::new(scope, acc);
-            let outcome = self.read_rows(source, &mut fold);
-            fold.finish(outcome)
-        });
-        if let Some(acc) = acc {
-            self.acc = acc;
+        // Asked once per scan: a source lends on every call or on none.
+        if source.lend_rows(0).is_some() {
+            self.skip_lent_prefix(source)?;
+            self.fold_lent_rows(source)?;
+        } else {
+            self.skip_consumed_prefix(source)?;
+            let acc = std::mem::replace(&mut self.acc, CovarianceAccumulator::new(0));
+            let (acc, outcome) = thread::scope(|scope| {
+                let mut fold = FoldStage::new(scope, acc);
+                let outcome = self.read_rows(source, &mut fold);
+                fold.finish(outcome)
+            });
+            if let Some(acc) = acc {
+                self.acc = acc;
+            }
+            outcome?;
         }
-        outcome?;
         self.check_fraction_budget()?;
         if let Some(start) = start {
             let rows = (self.report.rows_absorbed - absorbed_before) as u64;
@@ -453,6 +471,76 @@ impl Scanner {
         }
     }
 
+    /// [`Scanner::scan`] over a source that lends its rows: asks for up
+    /// to one panel of rows at a time, checks each lent row as
+    /// `read_rows` checks a staged one, and folds every clean run inline
+    /// with [`CovarianceAccumulator::push_block`] before a bad row is
+    /// reported, so the accumulator holds exactly the accepted rows on
+    /// every exit.
+    fn fold_lent_rows<S: RowSource>(&mut self, source: &mut S) -> Result<()> {
+        let m = self.acc.n_cols();
+        let panel_rows = self.acc.block_rows();
+        loop {
+            let want = self
+                .limit
+                .map_or(panel_rows, |l| l.saturating_sub(self.rows_consumed).min(panel_rows));
+            let rows = match source.lend_rows(want) {
+                Some(rows) if !rows.is_empty() => rows,
+                _ => return Ok(()),
+            };
+            // `rows[run * m..]` is the clean run not yet folded.
+            let mut run = 0usize;
+            for (i, row) in rows.chunks_exact(m).enumerate() {
+                let position = self.rows_consumed;
+                self.rows_consumed += 1;
+                let Err(e) = check_row(row, m, self.acc.n_rows() + (i - run) + 1) else {
+                    self.report.rows_absorbed += 1;
+                    continue;
+                };
+                self.acc.push_block(&rows[run * m..i * m], i - run)?;
+                run = i + 1;
+                match self.policy {
+                    ScanPolicy::Strict => return Err(e),
+                    ScanPolicy::Quarantine { .. } => {
+                        self.report
+                            .record(position, QuarantineReason::CorruptCell, e.to_string());
+                        self.check_row_budget()?;
+                    }
+                }
+            }
+            let lent = rows.len() / m;
+            self.acc.push_block(&rows[run * m..], lent - run)?;
+        }
+    }
+
+    /// Skips the consumed prefix of a source that lends its rows, without
+    /// copying them. Lent rows are never errors, so each one is a
+    /// consumed row.
+    fn skip_lent_prefix<S: RowSource>(&mut self, source: &mut S) -> Result<()> {
+        let m = self.acc.n_cols();
+        let mut skipped = 0usize;
+        while skipped < self.rows_consumed {
+            let lent = source
+                .lend_rows(self.rows_consumed - skipped)
+                .map_or(0, |rows| rows.len() / m);
+            if lent == 0 {
+                return Err(self.resume_gap(skipped));
+            }
+            skipped += lent;
+        }
+        Ok(())
+    }
+
+    /// The error of a resume whose stream ended after `skipped` rows,
+    /// before the checkpoint's cursor.
+    fn resume_gap(&self, skipped: usize) -> RatioRuleError {
+        RatioRuleError::Invalid(format!(
+            "cannot resume: stream ended after {skipped} rows but the \
+             checkpoint consumed {}",
+            self.rows_consumed
+        ))
+    }
+
     /// Skips the rows a previous (checkpointed) scan already consumed.
     /// Quarantined rows were consumed too, so errors during the skip are
     /// counted against the cursor, not re-quarantined; transient errors
@@ -467,13 +555,7 @@ impl Scanner {
                     skipped += 1;
                     consecutive_errors = 0;
                 }
-                Ok(false) => {
-                    return Err(RatioRuleError::Invalid(format!(
-                        "cannot resume: stream ended after {skipped} rows but the \
-                         checkpoint consumed {}",
-                        self.rows_consumed
-                    )));
-                }
+                Ok(false) => return Err(self.resume_gap(skipped)),
                 Err(e) if e.is_transient() => {
                     consecutive_errors += 1;
                     if consecutive_errors > MAX_CONSECUTIVE_SOURCE_ERRORS {
@@ -1675,9 +1757,27 @@ mod tests {
         assert_bits_eq(&r1, &r2, &format!("{what}: moments"));
     }
 
+    /// Reads its inner source row by row only: `lend_rows` keeps its
+    /// default, so a scan over it stages rows into panels for the fold
+    /// thread even when the inner source could lend them.
+    struct RowByRow<S>(S);
+
+    impl<S: RowSource> RowSource for RowByRow<S> {
+        fn n_cols(&self) -> usize {
+            self.0.n_cols()
+        }
+        fn next_row(&mut self, buf: &mut [f64]) -> dataset::Result<bool> {
+            self.0.next_row(buf)
+        }
+        fn rewind(&mut self) -> dataset::Result<()> {
+            self.0.rewind()
+        }
+    }
+
     /// The pipelined scan — inline below one panel, on the fold thread
-    /// from the first full panel — equals the scalar per-row walk bit
-    /// for bit, at N on both sides of the panel boundaries.
+    /// from the first full panel — and the lent scan, which folds in
+    /// place, each equal the scalar per-row walk bit for bit, at N on
+    /// both sides of the panel boundaries.
     #[test]
     fn scan_equals_scalar_walk_bitwise_across_panel_boundaries() {
         let m = 11;
@@ -1688,12 +1788,89 @@ mod tests {
                 scalar.push_row(row);
             }
             for policy in [ScanPolicy::Strict, ScanPolicy::quarantine_unlimited()] {
-                let (acc, report) = scan_matrix(&x, policy);
-                assert_eq!(report.rows_absorbed, n);
-                let (an, sums, upper) = acc.parts();
-                assert_eq!(an, scalar.n, "N = {n}");
-                assert_bits_eq(&sums, &scalar.col_sums, &format!("N = {n}: column sums"));
-                assert_bits_eq(&upper, &scalar.raw_upper, &format!("N = {n}: moments"));
+                for lent in [true, false] {
+                    let mut scanner = Scanner::new(m, policy);
+                    if lent {
+                        scanner.scan(&mut MatrixSource::new(&x)).unwrap();
+                    } else {
+                        scanner.scan(&mut RowByRow(MatrixSource::new(&x))).unwrap();
+                    }
+                    let (acc, report) = scanner.into_parts();
+                    let what = format!("N = {n}, lent {lent}");
+                    assert_eq!(report.rows_absorbed, n, "{what}");
+                    let (an, sums, upper) = acc.parts();
+                    assert_eq!(an, scalar.n, "{what}");
+                    assert_bits_eq(&sums, &scalar.col_sums, &format!("{what}: column sums"));
+                    assert_bits_eq(&upper, &scalar.raw_upper, &format!("{what}: moments"));
+                }
+            }
+        }
+    }
+
+    /// Scans `x` from two clones of `scanner`: through `MatrixSource`,
+    /// which lends its rows, and row by row. The outcome or its error
+    /// text, the accumulator's bits, the report (quarantine details and
+    /// their error texts included) and the checkpoint must all be
+    /// identical. Returns the lent scanner.
+    fn assert_lent_scans_like_row_by_row(scanner: &Scanner, x: &Matrix, what: &str) -> Scanner {
+        let outcome = |r: Result<&ScanReport>| r.map(|r| format!("{r:?}")).map_err(|e| e.to_string());
+        let mut lent = scanner.clone();
+        let mut rows = scanner.clone();
+        let a = outcome(lent.scan(&mut MatrixSource::new(x)));
+        let b = outcome(rows.scan(&mut RowByRow(MatrixSource::new(x))));
+        assert_eq!(a, b, "{what}: outcome");
+        assert_same_acc(lent.accumulator(), rows.accumulator(), what);
+        let report = |s: &Scanner| format!("{:?}", s.report());
+        assert_eq!(report(&lent), report(&rows), "{what}: report");
+        let checkpoint = |s: &Scanner| s.checkpoint().to_json();
+        assert_eq!(checkpoint(&lent), checkpoint(&rows), "{what}: checkpoint");
+        lent
+    }
+
+    /// A scan over a source that lends its rows (folded in place, no
+    /// fold thread) is indistinguishable from one that reads the same
+    /// rows one by one: clean and with NaN rows at and around panel
+    /// boundaries, under every policy, from a start row, up to consumed
+    /// limits that fall inside a 64-row run, past the end of the stream,
+    /// and resumed from each scan's checkpoint.
+    #[test]
+    fn lent_rows_scan_like_rows_read_one_by_one() {
+        let (n, m) = (300usize, 7usize);
+        let clean = random_rows(n, m, 11);
+        let mut faulty = random_rows(n, m, 12);
+        for r in [0usize, 5, 63, 64, 65, 127, 128, 200, 299] {
+            faulty.data_mut()[r * m + r % m] = f64::NAN;
+        }
+        let policies = [
+            ScanPolicy::Strict,
+            ScanPolicy::quarantine_unlimited(),
+            ScanPolicy::Quarantine {
+                max_bad_rows: Some(3),
+                max_bad_fraction: None,
+            },
+            ScanPolicy::Quarantine {
+                max_bad_rows: None,
+                max_bad_fraction: Some(0.01),
+            },
+        ];
+        for (x, data) in [(&clean, "clean"), (&faulty, "NaN rows")] {
+            for policy in policies {
+                let fresh = || Scanner::new(m, policy);
+                let scanners = [
+                    ("whole stream", fresh()),
+                    ("from row 10", fresh().with_start_row(10)),
+                    ("rows 10..100", fresh().with_start_row(10).with_consumed_limit(100)),
+                    ("rows 66..130", fresh().with_start_row(66).with_consumed_limit(130)),
+                    ("up to row 64", fresh().with_consumed_limit(64)),
+                    ("up to row 1", fresh().with_consumed_limit(1)),
+                    ("from past the end", fresh().with_start_row(n + 1)),
+                ];
+                for (range, scanner) in scanners {
+                    let what = format!("{data}, {policy:?}, {range}");
+                    let done = assert_lent_scans_like_row_by_row(&scanner, x, &what);
+                    let resumed = Scanner::resume(&done.checkpoint(), policy).unwrap();
+                    assert_lent_scans_like_row_by_row(&resumed, x, &format!("{what}, resumed"));
+                }
             }
         }
     }
@@ -1721,7 +1898,7 @@ mod tests {
                     x.data_mut()[r * m + r % m] = f64::NAN;
                 }
                 let mut first = Scanner::new(m, policy);
-                let err = first.scan(&mut MatrixSource::new(&x)).unwrap_err();
+                let err = first.scan(&mut RowByRow(MatrixSource::new(&x))).unwrap_err();
                 if policy == ScanPolicy::Strict {
                     assert!(err.to_string().contains("non-finite"), "{what}: {err}");
                 } else {

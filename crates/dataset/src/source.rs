@@ -6,6 +6,10 @@
 //! rows in order and can be rewound for algorithms that genuinely need
 //! another pass (the two-pass oracle, not the miner). The core crate's
 //! miner consumes any `RowSource` and provably touches it once.
+//!
+//! A source that already holds its rows in memory can also lend them
+//! ([`RowSource::lend_rows`]): the scan then reads them in place instead
+//! of copying each one out.
 
 use crate::csv::CsvLines;
 use crate::{DataMatrix, DatasetError, Result};
@@ -24,6 +28,17 @@ pub trait RowSource {
 
     /// Resets the cursor to the first row.
     fn rewind(&mut self) -> Result<()>;
+
+    /// Lends up to `max_rows` unread rows, row-major in one slice of
+    /// `rows * n_cols()` cells, and advances the cursor past them; the
+    /// slice is empty at end of stream. Returns `None` when the source
+    /// does not hold its rows in memory, which is the default: such a
+    /// source is read with [`RowSource::next_row`] only. A source that
+    /// lends has `n_cols() > 0` and lends on every call.
+    fn lend_rows(&mut self, max_rows: usize) -> Option<&[f64]> {
+        let _ = max_rows;
+        None
+    }
 
     /// Convenience: drains the stream into a dense matrix (rewinds first).
     fn collect_matrix(&mut self) -> Result<Matrix> {
@@ -52,6 +67,9 @@ impl<S: RowSource + ?Sized> RowSource for &mut S {
     fn rewind(&mut self) -> Result<()> {
         (**self).rewind()
     }
+    fn lend_rows(&mut self, max_rows: usize) -> Option<&[f64]> {
+        (**self).lend_rows(max_rows)
+    }
 }
 
 // A boxed source is a source: the CLI builds `Box<dyn RowSource>` stacks
@@ -66,9 +84,13 @@ impl<S: RowSource + ?Sized> RowSource for Box<S> {
     fn rewind(&mut self) -> Result<()> {
         (**self).rewind()
     }
+    fn lend_rows(&mut self, max_rows: usize) -> Option<&[f64]> {
+        (**self).lend_rows(max_rows)
+    }
 }
 
-/// In-memory row source over a matrix (zero-copy per row).
+/// In-memory row source over a matrix. It lends its rows
+/// ([`RowSource::lend_rows`]) straight from the matrix's storage.
 #[derive(Debug, Clone)]
 pub struct MatrixSource<'a> {
     matrix: &'a Matrix,
@@ -105,6 +127,18 @@ impl RowSource for MatrixSource<'_> {
     fn rewind(&mut self) -> Result<()> {
         self.cursor = 0;
         Ok(())
+    }
+
+    /// Zero-width rows cannot be counted from a slice, so a matrix with
+    /// no columns lends nothing.
+    fn lend_rows(&mut self, max_rows: usize) -> Option<&[f64]> {
+        let m = self.matrix.cols();
+        if m == 0 {
+            return None;
+        }
+        let start = self.cursor;
+        self.cursor += max_rows.min(self.matrix.rows() - start);
+        Some(&self.matrix.data()[start * m..self.cursor * m])
     }
 }
 
@@ -188,7 +222,8 @@ impl std::fmt::Debug for CsvFileSource {
 }
 
 /// A wrapper that counts passes and rows delivered — used by tests to
-/// *prove* the miner is single-pass.
+/// *prove* the miner is single-pass. It lends what its inner source
+/// lends, and counts lent rows as delivered.
 #[derive(Debug)]
 pub struct CountingSource<S> {
     inner: S,
@@ -225,6 +260,13 @@ impl<S: RowSource> RowSource for CountingSource<S> {
     fn rewind(&mut self) -> Result<()> {
         self.rewinds += 1;
         self.inner.rewind()
+    }
+
+    fn lend_rows(&mut self, max_rows: usize) -> Option<&[f64]> {
+        let m = self.inner.n_cols();
+        let rows = self.inner.lend_rows(max_rows)?;
+        self.rows_delivered += rows.len() / m;
+        Some(rows)
     }
 }
 
@@ -506,6 +548,44 @@ mod tests {
         let mut inner = MatrixSource::new(&m);
         let borrowed: &mut dyn RowSource = &mut inner;
         assert_eq!(borrowed.collect_matrix().unwrap(), m);
+    }
+
+    /// In-memory rows are lent through every forwarding wrapper; wrappers
+    /// that act per row, and sources that read from disk, lend nothing.
+    #[test]
+    fn in_memory_rows_are_lent_through_forwarding_wrappers() {
+        let m = sample_matrix();
+        let mut src = MatrixSource::new(&m);
+        assert_eq!(src.lend_rows(2), Some(&[1.0, 2.0, 3.0, 4.0][..]));
+        // The cursor moved past the lent rows.
+        let mut buf = [0.0; 2];
+        assert!(src.next_row(&mut buf).unwrap());
+        assert_eq!(buf, [5.0, 6.0]);
+        assert_eq!(src.lend_rows(4), Some(&[][..]));
+        src.rewind().unwrap();
+        assert_eq!(src.lend_rows(9).map(<[f64]>::len), Some(6));
+
+        let mut boxed: Box<dyn RowSource + '_> = Box::new(MatrixSource::new(&m));
+        assert_eq!(boxed.lend_rows(1), Some(&[1.0, 2.0][..]));
+        let mut inner = MatrixSource::new(&m);
+        let borrowed: &mut dyn RowSource = &mut inner;
+        assert_eq!(borrowed.lend_rows(1), Some(&[1.0, 2.0][..]));
+        let mut counting = CountingSource::new(MatrixSource::new(&m));
+        assert_eq!(counting.lend_rows(2).map(<[f64]>::len), Some(4));
+        assert_eq!(counting.lend_rows(2).map(<[f64]>::len), Some(2));
+        assert_eq!(counting.rows_delivered, 3);
+
+        let plan = crate::fault::FaultPlan::none(1);
+        let mut faulty = crate::fault::FaultyRowSource::new(MatrixSource::new(&m), plan);
+        assert!(faulty.lend_rows(1).is_none());
+        let policy = crate::retry::BackoffPolicy::default();
+        let mut retrying = crate::retry::RetryingSource::new(MatrixSource::new(&m), policy);
+        assert!(retrying.lend_rows(1).is_none());
+        let path = write_tmp("lend.csv", b"1,2\n3,4\n");
+        assert!(CsvFileSource::open(&path, false).unwrap().lend_rows(1).is_none());
+        std::fs::remove_file(&path).unwrap();
+        let no_cols = Matrix::zeros(3, 0);
+        assert!(MatrixSource::new(&no_cols).lend_rows(1).is_none());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! finite numbers, booleans, null) and rejects everything else with a
 //! byte offset.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// 2^53: every integer up to it is exact in f64, so a count up to it
 /// survives the trip through a JSON number.
@@ -101,7 +101,7 @@ pub fn write_escaped(s: &str, out: &mut String) {
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -119,11 +119,11 @@ fn write_num(v: f64, out: &mut String) {
         if v.is_sign_negative() && v as i64 == 0 {
             out.push('-');
         }
-        out.push_str(&format!("{}", v as i64));
+        let _ = write!(out, "{}", v as i64);
     } else {
         // `{}` on f64 is the shortest representation that parses back
         // to the same bits, so numeric round-trips are exact.
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     }
 }
 
@@ -132,7 +132,9 @@ impl JsonValue {
         let pad = |out: &mut String, d: usize| {
             if pretty {
                 out.push('\n');
-                out.push_str(&"  ".repeat(d));
+                for _ in 0..d {
+                    out.push_str("  ");
+                }
             }
         };
         match self {
@@ -211,6 +213,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -222,6 +225,7 @@ struct Parser<'a> {
 /// token, or of trailing non-whitespace after the document.
 pub fn parse(s: &str) -> Result<JsonValue, ParseError> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -377,16 +381,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unexpected end of string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // A plain run up to the next quote or backslash, copied
+                    // as one slice: both are ASCII, so the run ends on a
+                    // character boundary of the input.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + len]);
+                    self.pos += len;
                 }
             }
         }
@@ -400,8 +404,7 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| ParseError {
@@ -480,6 +483,48 @@ mod tests {
         let s = "tab\there \u{1} quote\" backslash\\";
         let text = JsonValue::Str(s.into()).write(false);
         assert_eq!(parse(&text).unwrap().as_str().unwrap(), s);
+    }
+
+    #[test]
+    fn strings_decode_to_the_exact_text() {
+        let doc = r#""é \"ß\\日本 / \/ \n\t\r\b\f \u00e9\u0001 😀 end""#;
+        let want = "é \"ß\\日本 / / \n\t\r\u{8}\u{c} é\u{1} 😀 end";
+        assert_eq!(parse(doc).unwrap().as_str(), Some(want));
+        // A 1 MiB value of 1-, 2-, 3- and 4-byte characters and escapes
+        // comes back whole.
+        let unit = "aß日😀\"\\\n\u{1}";
+        let big = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(big.len() >= 1 << 20);
+        let text = JsonValue::Str(big.clone()).write(false);
+        assert_eq!(parse(&text).unwrap().as_str(), Some(big.as_str()));
+    }
+
+    #[test]
+    fn pretty_output_is_pinned() {
+        let doc = JsonValue::Obj(vec![
+            (
+                "nums".into(),
+                JsonValue::Arr(vec![
+                    JsonValue::Num(-0.0),
+                    JsonValue::Num(42.0),
+                    JsonValue::Num(0.1),
+                    JsonValue::Num(-17.25),
+                    JsonValue::Num(1e16),
+                    JsonValue::Num(f64::NAN),
+                ]),
+            ),
+            ("empty".into(), JsonValue::Arr(Vec::new())),
+            (
+                "deep".into(),
+                JsonValue::Obj(vec![("s".into(), JsonValue::Str("\u{1f}".into()))]),
+            ),
+        ]);
+        let pretty = "{\n  \"nums\": [\n    -0,\n    42,\n    0.1,\n    -17.25,\n    \
+                      10000000000000000,\n    null\n  ],\n  \"empty\": [],\n  \
+                      \"deep\": {\n    \"s\": \"\\u001f\"\n  }\n}\n";
+        assert_eq!(doc.write(true), pretty);
+        let flat = r#"{"nums":[-0,42,0.1,-17.25,10000000000000000,null],"empty":[],"deep":{"s":"\u001f"}}"#;
+        assert_eq!(doc.write(false), flat);
     }
 
     #[test]

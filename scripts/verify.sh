@@ -112,6 +112,15 @@ echo "== tier 1: build + tests =="
 cargo build --release
 cargo test -q
 
+# The CI step "Bit-identity and serve suites (release)": the covariance
+# kernel vectorizes only when optimized, and some serve races only show
+# when answers are fast.
+echo "== bit-identity and serve suites (release) =="
+cargo test --release -q -p ratio-rules --lib
+cargo test --release -q --test scan_equivalence --test golden --test robustness --test distributed_chaos
+cargo test --release -q --test serve_e2e --test registry_e2e
+cargo test --release -q -p serve --lib
+
 echo "== numeric-sanitizer: NaN-injection tests (debug build) =="
 cargo test -q -p ratio-rules --features numeric-sanitizer sanitizer
 cargo test -q -p linalg --features numeric-sanitizer sanitize

@@ -10,7 +10,7 @@
 //! exercised: crash (with checkpoint-resumed reassignment), hang,
 //! slow, corrupt, truncate, and coordinator-side double delivery.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use dataset::retry::BackoffPolicy;
@@ -24,6 +24,30 @@ use serve::shard::{ChaosPlan, ShardConfig, ShardWorker};
 
 const ROWS: usize = 240;
 const COLS: usize = 5;
+
+/// A directory of one test's own under the system temp dir, removed with
+/// everything in it when dropped, so also when the test fails.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The directory of the one test in this file that writes files.
+fn workdir() -> TempDir {
+    let dir = std::env::temp_dir().join(format!("rr_chaos_ckpt_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    TempDir(dir)
+}
 
 /// Deterministic low-rank-plus-jitter workload (same family as the
 /// scan-equivalence suite): interesting spectra, reproducible bits.
@@ -219,8 +243,7 @@ fn seeded_chaos_converges_bit_identically_or_fails_loudly() {
 #[test]
 fn crashed_worker_shard_is_reassigned_and_resumes_from_its_checkpoint() {
     let x = workload();
-    let dir = std::env::temp_dir().join(format!("rr_chaos_ckpt_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = workdir();
     let plans = [
         ChaosPlan {
             seed: 1,
@@ -231,7 +254,7 @@ fn crashed_worker_shard_is_reassigned_and_resumes_from_its_checkpoint() {
     ];
     let fleet = start_fleet(&plans, Some(&dir));
     let mut cfg = cfg_for(&fleet, 2);
-    cfg.checkpoint_dir = Some(dir.clone());
+    cfg.checkpoint_dir = Some(dir.to_path_buf());
     cfg.connect_warmup = Duration::from_millis(50);
     let outcome = coordinate(&cfg).expect("run must recover via reassignment");
 

@@ -9,6 +9,30 @@ use ratio_rules::miner::RatioRuleMiner;
 use ratio_rules::reconstruct::fill_holes;
 use ratio_rules::rules::RuleSet;
 
+/// A directory of one test's own under the system temp dir, removed with
+/// everything in it when dropped, so also when the test fails.
+struct TempDir(std::path::PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = std::path::Path;
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The directory of the one test in this file that writes files.
+fn workdir() -> TempDir {
+    let dir = std::env::temp_dir().join(format!("rr_proptest_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    TempDir(dir)
+}
+
 /// Strategy: a random rank-`r` matrix `n x m` built from `r` random
 /// direction/coefficient pairs, plus optional noise.
 fn low_rank(n: usize, m: usize, r: usize, noise: f64) -> impl Strategy<Value = Matrix> {
@@ -338,9 +362,7 @@ proptest! {
         use dataset::source::RowSource;
         use ratio_rules::covariance::CovarianceAccumulator;
 
-        let dir = std::env::temp_dir()
-            .join(format!("rr_proptest_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = workdir();
         let path = dir.join(format!("case_{read_rows}.rrcb"));
         write_block_file(&path, 4, 50, x.data()).unwrap();
 
