@@ -383,7 +383,7 @@ mine --input <csv> --output <model.json> [--k N | --energy F] [--lanczos MAXK] [
         Some(cp) => Some(ScanCheckpoint::from_json(&std::fs::read_to_string(cp)?)?),
         None => None,
     };
-    let (mut source, labels): (Box<dyn RowSource>, _) = if opts.switch("columnar") {
+    let (mut source, labels): (Box<dyn RowSource + Send>, _) = if opts.switch("columnar") {
         (Box::new(ColumnarBlockSource::open(path)?), None)
     } else {
         let csv = CsvFileSource::open(path, !opts.switch("no-header"))?;

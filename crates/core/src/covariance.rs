@@ -221,9 +221,28 @@ impl CovarianceAccumulator {
                 self.n + p / m + 1
             )));
         }
+        self.push_checked(block, rows);
+        Ok(())
+    }
+
+    /// Rows staged in the panel, waiting for it to fill: a block of
+    /// `block_rows() - staged_rows()` rows tops it up, and every full
+    /// panel after that folds straight from the caller's block.
+    pub(crate) fn staged_rows(&self) -> usize {
+        self.panel_rows
+    }
+
+    /// [`CovarianceAccumulator::push_block`] for rows the caller has
+    /// already checked with [`check_row`], as the scan loop has: absorbs
+    /// the `rows` rows of `block` (`rows * m` cells) without looking at
+    /// their cells again.
+    pub(crate) fn push_checked(&mut self, block: &[f64], rows: usize) {
+        let m = self.m;
+        debug_assert_eq!(block.len(), rows * m);
+        debug_assert!(block.iter().all(|v| v.is_finite()));
         if rows == 0 || m == 0 {
             self.n += rows;
-            return Ok(());
+            return;
         }
         let mut rest = block;
         // Top up a partially-filled panel first so row order is kept.
@@ -252,7 +271,6 @@ impl CovarianceAccumulator {
             self.panel_rows = rest.len() / m;
         }
         self.n += rows;
-        Ok(())
     }
 
     /// Folds any buffered partial panel into the moment state. Called

@@ -143,7 +143,7 @@ impl RatioRuleMiner {
     /// the first bad row or source error, under a quarantine policy
     /// [`RatioRuleError::BudgetExhausted`]), then whatever
     /// [`RatioRuleMiner::finish`] returns for the scanned rows.
-    pub fn fit<S: RowSource>(&self, source: &mut S) -> Result<RuleSet> {
+    pub fn fit<S: RowSource + Send>(&self, source: &mut S) -> Result<RuleSet> {
         Ok(self.fit_with_report(source)?.0)
     }
 
@@ -153,7 +153,10 @@ impl RatioRuleMiner {
     /// # Errors
     ///
     /// As [`RatioRuleMiner::fit`]; no report comes back on failure.
-    pub fn fit_with_report<S: RowSource>(&self, source: &mut S) -> Result<(RuleSet, ScanReport)> {
+    pub fn fit_with_report<S: RowSource + Send>(
+        &self,
+        source: &mut S,
+    ) -> Result<(RuleSet, ScanReport)> {
         let mut scanner = Scanner::new(source.n_cols(), self.policy);
         scanner.scan(source)?;
         let (acc, report) = scanner.into_parts();

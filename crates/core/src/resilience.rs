@@ -31,11 +31,13 @@ use crate::miner::{build_rules, pad_spectrum};
 use crate::predictor::{ColAvgs, Predictor};
 use crate::rules::RuleSet;
 use crate::{RatioRuleError, Result};
+use dataset::csv::CsvText;
 use dataset::source::RowSource;
 use dataset::DatasetError;
 use linalg::Matrix;
 use obs::json::JsonValue;
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 /// How many consecutive `next_row` errors a quarantine scan tolerates
@@ -48,10 +50,19 @@ const MAX_CONSECUTIVE_SOURCE_ERRORS: usize = 1024;
 /// (counts are always exact; only the detailed log is capped).
 const MAX_QUARANTINE_DETAILS: usize = 64;
 
-/// Full panels queued between the scan loop and the fold thread: enough
-/// to ride out a slow stretch of parsing or folding, while a scan holds
-/// at most four panel buffers (one filling, two queued, one folding).
-const FOLD_QUEUE_PANELS: usize = 2;
+/// Bytes of CSV text a scan worker takes from the source at a time, rounded
+/// up to a line end. Each worker holds one such buffer and each of the
+/// scan's [`SCAN_BATCHES`] batches the rows parsed from one, so the size
+/// trades peak memory for fewer hand-offs: on a 45 MB CSV, 64 KiB peaked
+/// ~0.3 MB lower than 128 KiB and scanned ~4% slower (`EXPERIMENTS.md`,
+/// "Parsing a CSV on both CPUs").
+const TEXT_CHUNK_BYTES: usize = 64 * 1024;
+
+/// Batches a row-by-row scan holds at once: one being taken or parsed by
+/// each of its two workers, and up to two parsed ones waiting for their
+/// turn, so a worker on the faster CPU parses ahead instead of waiting
+/// for the other.
+const SCAN_BATCHES: usize = 4;
 
 /// Error-handling policy for the covariance scan.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -311,40 +322,52 @@ impl Scanner {
     /// restarts. Returns the report (also available via
     /// [`Scanner::report`]).
     ///
-    /// Every row is checked (width and finiteness, with
-    /// [`CovarianceAccumulator::push_row`]'s check and error text) on the
-    /// calling thread, which also does the quarantine and budget
-    /// accounting and honours the consumed limit.
+    /// Every row is checked once (width and finiteness, with
+    /// [`CovarianceAccumulator::push_row`]'s check and error text), then
+    /// accounted in stream order (quarantine, budgets, the consumed
+    /// limit), and every clean run of accepted rows folds with the
+    /// accumulator's panel kernel without a second check. Each
+    /// accumulator entry takes one add per row, in row order, so the bits
+    /// are those of one `push_row` per accepted row whichever way the
+    /// rows arrive.
     ///
     /// A source that lends its rows ([`RowSource::lend_rows`], an
-    /// in-memory matrix) is read in place, one panel's worth of rows at a
-    /// time: the consumed prefix is skipped through lent slices, and each
-    /// clean run of lent rows folds inline with
-    /// [`CovarianceAccumulator::push_block`], straight from the slice.
-    /// There is no parse to overlap, so there is no staging panel and no
-    /// fold thread.
+    /// in-memory matrix) is read in place on the calling thread, one
+    /// panel's worth of rows at a time: the consumed prefix is skipped
+    /// through lent slices, and clean runs fold straight from the slice.
+    /// There is no parse to overlap, so there is no staging copy and no
+    /// second thread.
     ///
-    /// Any other source is read row by row, and the two halves of the
-    /// loop run on two threads. The calling thread reads each row
-    /// straight into a staging panel and checks it there. The first full
-    /// panel starts a scoped
-    /// fold thread that owns the accumulator for the rest of the scan
-    /// and absorbs each full panel with
-    /// [`CovarianceAccumulator::push_block`], in arrival order, while the
-    /// next one is read; panels are handed over through a queue two
-    /// panels deep and their buffers reused. A scan shorter than one
-    /// panel starts no thread, and a failed spawn folds inline. The
-    /// result is bit-identical either way: the accumulator sees the same
-    /// rows in the same order as one `push_row` per accepted row.
+    /// Any other source is scanned by two symmetric workers, the calling
+    /// thread and one scoped helper. Each takes the next batch of the
+    /// stream under one lock, prepares it outside the lock and hands it
+    /// in; batches are absorbed (the per-row work and the fold) one at a
+    /// time in stream order, by whichever worker finds the next one ready.
+    /// A source that hands out CSV text ([`RowSource::read_text`], a
+    /// [`dataset::source::CsvFileSource`]) gives ~64 KiB of whole lines
+    /// per batch, which the worker parses into rows outside the lock, so
+    /// parsing runs on both CPUs; any other source gives up to one panel
+    /// of rows read with [`RowSource::next_row`] under the lock, so one
+    /// worker reads while the other folds. A scan holds at most four
+    /// batches, so a worker on a faster CPU parses ahead of the other by
+    /// up to two. A stream of one batch (a CSV under 64 KiB, fewer rows
+    /// than a panel) starts no helper, and a failed spawn scans on the
+    /// calling thread alone. A scan runs at most these two threads.
     ///
-    /// Every exit — the end of the stream, a strict abort, an exhausted
-    /// budget, a short read (see `is_short_read`), a fold error — stops
-    /// the fold thread and joins it before returning, and the accumulator
-    /// then holds exactly the accepted rows, so [`Scanner::checkpoint`]
-    /// after a failed scan resumes where it stopped. A panic on the fold
-    /// thread comes back as [`RatioRuleError::Invalid`] and loses the
-    /// accumulator: the scanner is left with an empty zero-width one,
-    /// whose checkpoint cannot resume the source.
+    /// Every exit — the end of the stream, the consumed limit, a strict
+    /// abort, an exhausted budget, a short read (see `is_short_read`) —
+    /// is decided by the first row or error in stream order that causes
+    /// it, the same one a row-by-row scan stops at: no batch after it is
+    /// accounted or folded, both workers have returned, and the
+    /// accumulator holds exactly the accepted rows, so
+    /// [`Scanner::checkpoint`] after a failed scan resumes where it
+    /// stopped. Batches are read ahead of that point, though: a source
+    /// read row by row may have been read up to three batches past it
+    /// (never past the consumed limit, nor past an error under
+    /// [`ScanPolicy::Strict`]). A panic on the helper comes back as
+    /// [`RatioRuleError::Invalid`] and loses the accumulator: the scanner
+    /// is left with an empty zero-width one, whose checkpoint cannot
+    /// resume the source.
     ///
     /// # Errors
     ///
@@ -352,8 +375,17 @@ impl Scanner {
     /// resume-skip failure, a bad row or source error under
     /// [`ScanPolicy::Strict`], an exhausted quarantine budget
     /// ([`RatioRuleError::BudgetExhausted`]), a short read, a source that
-    /// keeps failing without yielding a row, or a fold-thread failure.
-    pub fn scan<S: RowSource>(&mut self, source: &mut S) -> Result<&ScanReport> {
+    /// keeps failing without yielding a row, or a panic on the helper.
+    pub fn scan<S: RowSource + Send>(&mut self, source: &mut S) -> Result<&ScanReport> {
+        self.scan_in_chunks(source, TEXT_CHUNK_BYTES)
+    }
+
+    /// [`Scanner::scan`], taking CSV text `chunk_bytes` at a time.
+    fn scan_in_chunks<S: RowSource + Send>(
+        &mut self,
+        source: &mut S,
+        chunk_bytes: usize,
+    ) -> Result<&ScanReport> {
         // A resumed scan must read rows as wide as its checkpoint's.
         if source.n_cols() != self.acc.n_cols() {
             return Err(RatioRuleError::WidthMismatch {
@@ -378,16 +410,7 @@ impl Scanner {
             self.fold_lent_rows(source)?;
         } else {
             self.skip_consumed_prefix(source)?;
-            let acc = std::mem::replace(&mut self.acc, CovarianceAccumulator::new(0));
-            let (acc, outcome) = thread::scope(|scope| {
-                let mut fold = FoldStage::new(scope, acc);
-                let outcome = self.read_rows(source, &mut fold);
-                fold.finish(outcome)
-            });
-            if let Some(acc) = acc {
-                self.acc = acc;
-            }
-            outcome?;
+            self.scan_batches(source, chunk_bytes)?;
         }
         self.check_fraction_budget()?;
         if let Some(start) = start {
@@ -402,88 +425,181 @@ impl Scanner {
         Ok(&self.report)
     }
 
-    /// The calling thread's half of [`Scanner::scan`]: reads rows into
-    /// `fold`'s staging panel until the stream ends, the consumed limit
-    /// is reached, or the policy aborts.
-    fn read_rows<S: RowSource>(
+    /// [`Scanner::scan`] over a source read row by row or as CSV text: the
+    /// calling thread works the batches with one scoped helper, started
+    /// once the first batch shows the stream goes on (see [`Workers`]).
+    fn scan_batches<S: RowSource + Send>(
         &mut self,
         source: &mut S,
-        fold: &mut FoldStage<'_, '_>,
+        chunk_bytes: usize,
     ) -> Result<()> {
-        let mut consecutive_errors = 0usize;
-        loop {
+        let plan = BatchPlan {
+            m: self.acc.n_cols(),
+            panel_rows: self.acc.block_rows(),
+            chunk_bytes: chunk_bytes.max(1),
+            policy: self.policy,
+            limit: self.limit,
+        };
+        let feed = Feed {
+            source,
+            text: None,
+            taken: 0,
+            consumed: self.rows_consumed,
+            done: false,
+        };
+        let workers = Workers {
+            feed: Mutex::new(feed),
+            turn: Mutex::new(Turn {
+                absorber: Some(Absorber {
+                    scanner: self,
+                    consecutive_errors: 0,
+                    stopped: None,
+                }),
+                next: 0,
+                ready: Vec::new(),
+                spare: Vec::new(),
+                made: 0,
+                failed: false,
+            }),
+            absorbed: Condvar::new(),
+            stop: AtomicBool::new(false),
+            plan,
+        };
+        let helper = thread::scope(|scope| {
+            let mut helper = None;
+            let mut asked = false;
+            workers.work(|| {
+                if !std::mem::replace(&mut asked, true) && !workers.drained() {
+                    helper = thread::Builder::new()
+                        .name("scan-worker".into())
+                        .spawn_scoped(scope, || workers.work(|| {}))
+                        .ok();
+                }
+            });
+            helper.map(|h| h.join())
+        });
+        let absorber = lock(&workers.turn).absorber.take();
+        let stopped = absorber.and_then(|a| a.stopped);
+        drop(workers);
+        if let Some(Err(payload)) = helper {
+            self.acc = CovarianceAccumulator::new(0);
+            return Err(RatioRuleError::Invalid(format!(
+                "scan worker thread panicked: {}",
+                panic_message(payload.as_ref())
+            )));
+        }
+        stopped.unwrap_or(Ok(()))
+    }
+
+    /// The per-row work of a row-by-row scan over one batch, in stream
+    /// order: the consumed limit, the row check (width and finiteness,
+    /// with [`CovarianceAccumulator::push_row`]'s check and error text),
+    /// quarantine and budget accounting, and the source's errors; then the
+    /// fold of the batch's clean runs. Returns whether the scan goes on
+    /// past the batch: `false` once the consumed limit is reached. On every
+    /// exit the accumulator holds exactly the rows accepted so far.
+    fn absorb(&mut self, batch: &mut Batch, consecutive_errors: &mut usize) -> Result<bool> {
+        let m = self.acc.n_cols();
+        let Batch {
+            cells,
+            rows,
+            errors,
+            ..
+        } = batch;
+        let mut errors = errors.drain(..).peekable();
+        // `cells[run * m..row * m]` is the clean run not folded yet.
+        let (mut run, mut row) = (0usize, 0usize);
+        let outcome = loop {
             if self.limit.is_some_and(|l| self.rows_consumed >= l) {
-                return Ok(());
+                break Ok(false);
             }
-            match source.next_row(fold.slot()) {
-                Ok(true) => {
-                    consecutive_errors = 0;
-                    let position = self.rows_consumed;
-                    self.rows_consumed += 1;
-                    match fold.check_slot() {
-                        Ok(()) => {
-                            self.report.rows_absorbed += 1;
-                            fold.accept()?;
-                        }
-                        Err(e) => match self.policy {
-                            ScanPolicy::Strict => return Err(e),
-                            ScanPolicy::Quarantine { .. } => {
-                                self.report.record(
-                                    position,
-                                    QuarantineReason::CorruptCell,
-                                    e.to_string(),
-                                );
-                                self.check_row_budget()?;
-                            }
-                        },
+            if let Some((_, e)) = errors.next_if(|(before, _)| *before == row) {
+                match self.source_error(e, consecutive_errors) {
+                    Ok(()) => continue,
+                    Err(e) => break Err(e),
+                }
+            }
+            if row == *rows {
+                break Ok(true);
+            }
+            *consecutive_errors = 0;
+            let position = self.rows_consumed;
+            self.rows_consumed += 1;
+            row += 1;
+            let cells_of_row = &cells[(row - 1) * m..row * m];
+            let Err(e) = check_row(cells_of_row, m, self.acc.n_rows() + (row - run)) else {
+                self.report.rows_absorbed += 1;
+                continue;
+            };
+            self.acc
+                .push_checked(&cells[run * m..(row - 1) * m], row - 1 - run);
+            run = row;
+            match self.policy {
+                ScanPolicy::Strict => break Err(e),
+                ScanPolicy::Quarantine { .. } => {
+                    self.report
+                        .record(position, QuarantineReason::CorruptCell, e.to_string());
+                    if let Err(e) = self.check_row_budget() {
+                        break Err(e);
                     }
                 }
-                Ok(false) => return Ok(()),
-                Err(e) => match self.policy {
-                    ScanPolicy::Strict => return Err(e.into()),
-                    ScanPolicy::Quarantine { .. } if is_short_read(&e) => return Err(e.into()),
-                    ScanPolicy::Quarantine { .. } => {
-                        consecutive_errors += 1;
-                        if consecutive_errors > MAX_CONSECUTIVE_SOURCE_ERRORS {
-                            return Err(RatioRuleError::Invalid(format!(
-                                "source failed {MAX_CONSECUTIVE_SOURCE_ERRORS} times in a row \
-                                 without yielding a row; last error: {e}"
-                            )));
-                        }
-                        if e.is_transient() {
-                            // The row was not consumed: loop back and
-                            // re-read it. (A RetryingSource underneath
-                            // makes this invisible; this is the last
-                            // line of defence.)
-                            self.report.transient_retries += 1;
-                            obs::counter_add("scan_transient_retries_total", 1);
-                        } else {
-                            // Row-consuming data error (bad cell, ragged
-                            // row): quarantine and move on.
-                            let position = self.rows_consumed;
-                            self.rows_consumed += 1;
-                            self.report.record(position, classify(&e), e.to_string());
-                            self.check_row_budget()?;
-                        }
-                    }
-                },
+            }
+        };
+        self.acc.push_checked(&cells[run * m..row * m], row - run);
+        outcome
+    }
+
+    /// The policy's answer to a source error met at the scan's cursor: a
+    /// strict abort, or, under quarantine, a transient retry (the row was
+    /// not consumed and is read again) or a consumed, quarantined row;
+    /// a short read and a source that keeps failing abort under both.
+    fn source_error(&mut self, e: DatasetError, consecutive_errors: &mut usize) -> Result<()> {
+        match self.policy {
+            ScanPolicy::Strict => Err(e.into()),
+            ScanPolicy::Quarantine { .. } if is_short_read(&e) => Err(e.into()),
+            ScanPolicy::Quarantine { .. } => {
+                *consecutive_errors += 1;
+                if *consecutive_errors > MAX_CONSECUTIVE_SOURCE_ERRORS {
+                    return Err(RatioRuleError::Invalid(format!(
+                        "source failed {MAX_CONSECUTIVE_SOURCE_ERRORS} times in a row \
+                         without yielding a row; last error: {e}"
+                    )));
+                }
+                if e.is_transient() {
+                    // The row was not consumed: it is read again. (A
+                    // RetryingSource underneath makes this invisible;
+                    // this is the last line of defence.)
+                    self.report.transient_retries += 1;
+                    obs::counter_add("scan_transient_retries_total", 1);
+                    Ok(())
+                } else {
+                    // Row-consuming data error (bad cell, ragged row):
+                    // quarantine and move on.
+                    let position = self.rows_consumed;
+                    self.rows_consumed += 1;
+                    self.report.record(position, classify(&e), e.to_string());
+                    self.check_row_budget()
+                }
             }
         }
     }
 
-    /// [`Scanner::scan`] over a source that lends its rows: asks for up
-    /// to one panel of rows at a time, checks each lent row as
-    /// `read_rows` checks a staged one, and folds every clean run inline
-    /// with [`CovarianceAccumulator::push_block`] before a bad row is
-    /// reported, so the accumulator holds exactly the accepted rows on
-    /// every exit.
+    /// [`Scanner::scan`] over a source that lends its rows: asks for the
+    /// rows that fill the accumulator's panel (one panel's worth while it
+    /// is empty), checks each lent row as [`Scanner::absorb`] checks a
+    /// read one, and folds every clean run inline, straight from the
+    /// slice, before a bad row is reported, so the accumulator holds
+    /// exactly the accepted rows on every exit. After a bad row splits a
+    /// run, the next ask tops the staged panel up, so the runs after it
+    /// fold zero-copy again.
     fn fold_lent_rows<S: RowSource>(&mut self, source: &mut S) -> Result<()> {
         let m = self.acc.n_cols();
         let panel_rows = self.acc.block_rows();
         loop {
+            let want = panel_rows - self.acc.staged_rows();
             let want = self
                 .limit
-                .map_or(panel_rows, |l| l.saturating_sub(self.rows_consumed).min(panel_rows));
+                .map_or(want, |l| l.saturating_sub(self.rows_consumed).min(want));
             let rows = match source.lend_rows(want) {
                 Some(rows) if !rows.is_empty() => rows,
                 _ => return Ok(()),
@@ -497,7 +613,7 @@ impl Scanner {
                     self.report.rows_absorbed += 1;
                     continue;
                 };
-                self.acc.push_block(&rows[run * m..i * m], i - run)?;
+                self.acc.push_checked(&rows[run * m..i * m], i - run);
                 run = i + 1;
                 match self.policy {
                     ScanPolicy::Strict => return Err(e),
@@ -509,7 +625,7 @@ impl Scanner {
                 }
             }
             let lent = rows.len() / m;
-            self.acc.push_block(&rows[run * m..], lent - run)?;
+            self.acc.push_checked(&rows[run * m..], lent - run);
         }
     }
 
@@ -629,183 +745,292 @@ impl Scanner {
     }
 }
 
-/// The fold half of [`Scanner::scan`]. Accepted rows are staged into
-/// panels of the accumulator's height; each full panel is absorbed with
-/// [`CovarianceAccumulator::push_block`] in arrival order — inline until
-/// the first panel fills, then on a scoped fold thread that owns the
-/// accumulator until [`FoldStage::finish`].
-struct FoldStage<'scope, 'env> {
-    scope: &'scope thread::Scope<'scope, 'env>,
-    /// The accumulator while folding inline; `None` while the fold
-    /// thread owns it.
-    acc: Option<CovarianceAccumulator>,
-    worker: Option<FoldWorker<'scope>>,
-    /// Set when the fold thread could not be started: fold inline.
-    inline: bool,
+/// What a scan worker takes from the source in one go, in stream order:
+/// `rows` rows of `m` cells in `cells`, with the source's errors between
+/// them. A source that reads CSV text hands out whole lines, which the
+/// worker parses into a batch outside any lock ([`Batch::parse`]); any
+/// other source is read row by row straight into one. A scan holds at
+/// most [`SCAN_BATCHES`] batches and reuses their buffers.
+#[derive(Debug, Default)]
+struct Batch {
+    /// Position in stream order: the batch is absorbed on this turn.
+    ticket: usize,
+    /// Row-major rows: the first `rows * m` cells are live.
+    cells: Vec<f64>,
+    rows: usize,
+    /// Source errors in stream order, each with the number of `rows`
+    /// before it.
+    errors: Vec<(usize, DatasetError)>,
+}
+
+impl Batch {
+    /// Parses CSV `text`, whose first line is `first_line`, into rows and
+    /// errors.
+    fn parse(&mut self, text: &[u8], first_line: usize, m: usize) {
+        let mut lines = CsvText::new(text, first_line);
+        loop {
+            let end = (self.rows + 1) * m;
+            if self.cells.len() < end {
+                self.cells.resize(end, 0.0);
+            }
+            match lines.next_row(&mut self.cells[end - m..end]) {
+                Ok(true) => self.rows += 1,
+                Ok(false) => break,
+                Err(e) => self.errors.push((self.rows, e)),
+            }
+        }
+    }
+}
+
+/// A worker's CSV text: whole lines taken from the source, the first of
+/// them line `first_line`, not parsed yet. Each worker owns one.
+#[derive(Debug, Default)]
+struct Text {
+    bytes: Vec<u8>,
+    first_line: usize,
+}
+
+/// The source end of a row-by-row scan, behind one lock: batches are
+/// taken from it in stream order and numbered in that order.
+struct Feed<'s, S> {
+    source: &'s mut S,
+    /// Whether the source hands out CSV text; `None` until it is asked.
+    text: Option<bool>,
+    /// Batches taken so far.
+    taken: usize,
+    /// Rows consumed by the batches taken so far, as far as the feed can
+    /// tell (it stops reading rows at the consumed limit).
+    consumed: usize,
+    /// The stream ended, or the rest of it cannot be absorbed.
+    done: bool,
+}
+
+/// The fixed settings of a row-by-row scan.
+#[derive(Debug, Clone, Copy)]
+struct BatchPlan {
     m: usize,
     panel_rows: usize,
-    /// The panel being filled: `staged` rows of `m` cells are live.
-    panel: Vec<f64>,
-    staged: usize,
-    /// Rows in the accumulator plus rows staged or queued: the next
-    /// accepted row's 1-based number in `push_row`'s error text.
-    rows: usize,
+    chunk_bytes: usize,
+    policy: ScanPolicy,
+    limit: Option<usize>,
 }
 
-/// The scan loop's ends of a running fold thread.
-struct FoldWorker<'scope> {
-    full: SyncSender<Vec<f64>>,
-    empty: Receiver<Vec<f64>>,
-    handle: thread::ScopedJoinHandle<'scope, FoldResult>,
-}
-
-/// What the fold thread hands back: the accumulator and the first fold
-/// error, or `None` if it never received the accumulator.
-type FoldResult = Option<(CovarianceAccumulator, Result<()>)>;
-
-impl<'scope, 'env> FoldStage<'scope, 'env> {
-    fn new(scope: &'scope thread::Scope<'scope, 'env>, acc: CovarianceAccumulator) -> Self {
-        let (m, panel_rows, rows) = (acc.n_cols(), acc.block_rows(), acc.n_rows());
-        FoldStage {
-            scope,
-            acc: Some(acc),
-            worker: None,
-            inline: false,
-            m,
-            panel_rows,
-            panel: vec![0.0; panel_rows * m],
-            staged: 0,
-            rows,
+impl<S: RowSource> Feed<'_, S> {
+    /// Takes the next stretch of the stream into `text` (CSV lines) or
+    /// straight into `batch` (rows and errors), and numbers the batch;
+    /// `false` once there is none.
+    fn take(&mut self, text: &mut Text, batch: &mut Batch, plan: BatchPlan) -> bool {
+        if self.done {
+            return false;
         }
-    }
-
-    /// Where the next row is read to.
-    fn slot(&mut self) -> &mut [f64] {
-        &mut self.panel[self.staged * self.m..(self.staged + 1) * self.m]
-    }
-
-    /// `push_row`'s check of the row just read into [`FoldStage::slot`].
-    fn check_slot(&self) -> Result<()> {
-        let row = &self.panel[self.staged * self.m..(self.staged + 1) * self.m];
-        check_row(row, self.m, self.rows + 1)
-    }
-
-    /// Keeps the row in the slot, handing the panel over once it is full.
-    fn accept(&mut self) -> Result<()> {
-        self.staged += 1;
-        self.rows += 1;
-        if self.staged < self.panel_rows {
-            return Ok(());
-        }
-        self.staged = 0;
-        if self.worker.is_none() && !self.inline {
-            self.spawn();
-        }
-        if let Some(w) = &self.worker {
-            let fresh = w
-                .empty
-                .try_recv()
-                .unwrap_or_else(|_| vec![0.0; self.panel.len()]);
-            let full = std::mem::replace(&mut self.panel, fresh);
-            // A closed queue means the fold thread stopped on an error;
-            // `finish` reports it.
-            return w
-                .full
-                .send(full)
-                .map_err(|_| RatioRuleError::Invalid("covariance fold thread stopped".into()));
-        }
-        self.acc
-            .as_mut()
-            .map_or(Ok(()), |acc| acc.push_block(&self.panel, self.panel_rows))
-    }
-
-    /// Starts the fold thread and hands it the accumulator; on failure
-    /// the stage keeps folding inline.
-    fn spawn(&mut self) {
-        let Some(acc) = self.acc.take() else {
-            return;
-        };
-        let (acc_tx, acc_rx) = mpsc::sync_channel::<CovarianceAccumulator>(1);
-        let (full_tx, full_rx) = mpsc::sync_channel::<Vec<f64>>(FOLD_QUEUE_PANELS);
-        // Room for every panel buffer of the scan, so the fold thread
-        // never blocks handing one back.
-        let (empty_tx, empty_rx) = mpsc::sync_channel::<Vec<f64>>(FOLD_QUEUE_PANELS + 2);
-        let panel_rows = self.panel_rows;
-        let spawned = thread::Builder::new()
-            .name("covariance-fold".into())
-            .spawn_scoped(self.scope, move || -> FoldResult {
-                let mut acc = acc_rx.recv().ok()?;
-                for panel in full_rx {
-                    if let Err(e) = acc.push_block(&panel, panel_rows) {
-                        return Some((acc, Err(e)));
+        batch.rows = 0;
+        batch.errors.clear();
+        text.bytes.clear();
+        if self.text != Some(false) {
+            let read = self.source.read_text(&mut text.bytes, plan.chunk_bytes);
+            self.text = Some(read.is_some());
+            match read {
+                Some(Ok(first_line)) => {
+                    text.first_line = first_line;
+                    // Text shorter than asked for ends the stream.
+                    self.done = text.bytes.len() < plan.chunk_bytes;
+                    if text.bytes.is_empty() {
+                        return false;
                     }
-                    let _ = empty_tx.try_send(panel);
                 }
-                Some((acc, Ok(())))
-            });
-        let handle = match spawned {
-            Ok(handle) => handle,
-            Err(_) => {
-                self.acc = Some(acc);
-                self.inline = true;
+                Some(Err(e)) => {
+                    text.bytes.clear();
+                    self.done = plan.policy == ScanPolicy::Strict || is_short_read(&e);
+                    batch.errors.push((0, e));
+                }
+                None => self.read_rows(batch, plan),
+            }
+        } else {
+            self.read_rows(batch, plan);
+        }
+        batch.ticket = self.taken;
+        self.taken += 1;
+        true
+    }
+
+    /// Reads up to one panel's worth of rows and errors with
+    /// [`RowSource::next_row`], stopping where the stream ends, at the
+    /// consumed limit, and after an error that stops the scan whatever
+    /// comes next (any error under [`ScanPolicy::Strict`], a short read).
+    fn read_rows(&mut self, batch: &mut Batch, plan: BatchPlan) {
+        let m = plan.m;
+        batch.cells.resize(plan.panel_rows * m, 0.0);
+        for _ in 0..plan.panel_rows {
+            if plan.limit.is_some_and(|l| self.consumed >= l) {
+                self.done = true;
                 return;
             }
-        };
-        match acc_tx.send(acc) {
-            Ok(()) => {
-                self.worker = Some(FoldWorker {
-                    full: full_tx,
-                    empty: empty_rx,
-                    handle,
-                });
-            }
-            Err(mpsc::SendError(acc)) => {
-                // The thread is already gone; it took nothing with it.
-                let _ = handle.join();
-                self.acc = Some(acc);
-                self.inline = true;
-            }
-        }
-    }
-
-    /// Ends the fold whatever `outcome` the scan loop reached: drops the
-    /// sender so the fold thread drains the queue, joins it, then absorbs
-    /// the rows still staged here. The accumulator comes back holding
-    /// exactly the accepted rows, or `None` if the fold thread panicked.
-    /// A fold error or panic outranks `outcome`.
-    fn finish(self, outcome: Result<()>) -> (Option<CovarianceAccumulator>, Result<()>) {
-        let FoldStage {
-            acc,
-            worker,
-            panel,
-            staged,
-            ..
-        } = self;
-        let (acc, folded) = match worker {
-            None => (acc, Ok(())),
-            Some(FoldWorker { full, handle, .. }) => {
-                drop(full);
-                let joined = handle
-                    .join()
-                    .map_err(|p| format!("panicked: {}", panic_message(p.as_ref())))
-                    .and_then(|r| r.ok_or_else(|| "never got the accumulator".to_string()));
-                match joined {
-                    Ok((acc, folded)) => (Some(acc), folded),
-                    Err(why) => {
-                        let e = RatioRuleError::Invalid(format!("covariance fold thread {why}"));
-                        return (None, Err(e));
+            let slot = &mut batch.cells[batch.rows * m..(batch.rows + 1) * m];
+            match self.source.next_row(slot) {
+                Ok(true) => {
+                    batch.rows += 1;
+                    self.consumed += 1;
+                }
+                Ok(false) => {
+                    self.done = true;
+                    return;
+                }
+                Err(e) => {
+                    self.consumed += usize::from(!e.is_transient());
+                    self.done = plan.policy == ScanPolicy::Strict || is_short_read(&e);
+                    batch.errors.push((batch.rows, e));
+                    if self.done {
+                        return;
                     }
                 }
             }
-        };
-        match acc {
-            Some(mut acc) if folded.is_ok() && staged > 0 => {
-                let drained = acc.push_block(&panel[..staged * acc.n_cols()], staged);
-                (Some(acc), drained.and(outcome))
-            }
-            acc => (acc, folded.and(outcome)),
         }
     }
+}
+
+/// The scanner's end of a row-by-row scan: it absorbs batches one at a
+/// time, in stream order, on whichever worker holds it.
+struct Absorber<'a> {
+    scanner: &'a mut Scanner,
+    /// Source errors since the last row read (see
+    /// [`MAX_CONSECUTIVE_SOURCE_ERRORS`]).
+    consecutive_errors: usize,
+    /// How the scan stopped before the end of the stream: at the consumed
+    /// limit, or on an abort. The batches after it are passed over.
+    stopped: Option<Result<()>>,
+}
+
+impl Absorber<'_> {
+    /// Absorbs `batch` unless the scan has stopped; returns whether it
+    /// has stopped now.
+    fn absorb(&mut self, batch: &mut Batch) -> bool {
+        if self.stopped.is_none() {
+            match self.scanner.absorb(batch, &mut self.consecutive_errors) {
+                Ok(true) => {}
+                Ok(false) => self.stopped = Some(Ok(())),
+                Err(e) => self.stopped = Some(Err(e)),
+            }
+        }
+        self.stopped.is_some()
+    }
+}
+
+/// The batches of a row-by-row scan between the workers, behind one lock.
+struct Turn<'a> {
+    /// `None` while a worker absorbs outside the lock.
+    absorber: Option<Absorber<'a>>,
+    /// The ticket of the batch absorbed next.
+    next: usize,
+    /// Parsed batches waiting for their turn.
+    ready: Vec<Batch>,
+    /// Absorbed batches, free for the next take.
+    spare: Vec<Batch>,
+    /// Batches the scan has made so far, at most [`SCAN_BATCHES`].
+    made: usize,
+    /// A worker panicked: nothing more is absorbed.
+    failed: bool,
+}
+
+/// What the two workers of a row-by-row scan share.
+struct Workers<'a, 's, S> {
+    feed: Mutex<Feed<'s, S>>,
+    turn: Mutex<Turn<'a>>,
+    /// Signalled whenever batches are absorbed.
+    absorbed: Condvar,
+    /// Set once no more batches need taking: the scan stopped or failed.
+    /// It publishes no data (the outcome goes through `turn`), so its
+    /// loads and stores are `Relaxed`.
+    stop: AtomicBool,
+    plan: BatchPlan,
+}
+
+impl<S: RowSource> Workers<'_, '_, S> {
+    /// Takes the next batch from the feed, unless the scan has stopped.
+    fn take(&self, text: &mut Text, batch: &mut Batch) -> bool {
+        let mut feed = lock(&self.feed);
+        !self.stop.load(Ordering::Relaxed) && feed.take(text, batch, self.plan)
+    }
+
+    /// Whether the stream is known to have ended.
+    fn drained(&self) -> bool {
+        lock(&self.feed).done
+    }
+
+    /// Hands a parsed batch in (none before a worker's first take),
+    /// absorbs every batch whose turn has come unless another worker is
+    /// absorbing, and returns a free batch for the next take, waiting for
+    /// one while all [`SCAN_BATCHES`] are in use.
+    fn hand_in(&self, batch: Option<Batch>) -> Batch {
+        let mut turn = lock(&self.turn);
+        turn.ready.extend(batch);
+        loop {
+            let absorber = if turn.failed { None } else { turn.absorber.take() };
+            if let Some(mut absorber) = absorber {
+                while let Some(i) = turn.ready.iter().position(|b| b.ticket == turn.next) {
+                    let mut batch = turn.ready.swap_remove(i);
+                    drop(turn);
+                    if absorber.absorb(&mut batch) {
+                        self.stop.store(true, Ordering::Relaxed);
+                    }
+                    turn = lock(&self.turn);
+                    turn.next += 1;
+                    turn.spare.push(batch);
+                }
+                turn.absorber = Some(absorber);
+                self.absorbed.notify_all();
+            }
+            if let Some(free) = turn.spare.pop() {
+                return free;
+            }
+            if turn.made < SCAN_BATCHES || turn.failed {
+                turn.made += 1;
+                return Batch::default();
+            }
+            turn = self
+                .absorbed
+                .wait(turn)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// One worker's loop: take a batch, parse it, hand it in. `took` runs
+    /// after each take.
+    fn work(&self, mut took: impl FnMut()) {
+        let _pass = PassOnPanic(self);
+        let mut text = Text::default();
+        let mut batch = self.hand_in(None);
+        while self.take(&mut text, &mut batch) {
+            took();
+            if !text.bytes.is_empty() {
+                batch.parse(&text.bytes, text.first_line, self.plan.m);
+            }
+            batch = self.hand_in(Some(batch));
+        }
+    }
+}
+
+/// Stops the scan when its worker unwinds, so the other worker, which
+/// may be waiting for a batch this one holds, returns instead of waiting
+/// for ever.
+struct PassOnPanic<'w, 'a, 's, S>(&'w Workers<'a, 's, S>);
+
+impl<S> Drop for PassOnPanic<'_, '_, '_, S> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.stop.store(true, Ordering::Relaxed);
+            lock(&self.0.turn).failed = true;
+            self.0.absorbed.notify_all();
+        }
+    }
+}
+
+/// Locks `m`, also after a worker panicked holding it. What the panic
+/// left half done cannot reach a result: the panicking worker marks the
+/// scan failed, the other one takes and absorbs nothing more, and the
+/// scan ends in that panic or, for the helper's, in
+/// [`RatioRuleError::Invalid`] with the accumulator dropped.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The message of a caught panic payload.
@@ -1446,7 +1671,7 @@ mod tests {
     use crate::miner::RatioRuleMiner;
     use dataset::columnar::ColumnarBlockSource;
     use dataset::fault::{FaultPlan, FaultyRowSource};
-    use dataset::source::MatrixSource;
+    use dataset::source::{CountingSource, CsvFileSource, MatrixSource};
 
     fn data(n: usize, m: usize) -> Matrix {
         Matrix::from_fn(n, m, |i, j| {
@@ -1875,6 +2100,278 @@ mod tests {
         }
     }
 
+    /// Seeded CSV text of `n` data lines of width `m` under a header, in
+    /// `{:.4}` cells. With `faulty`, about one line in four is bad or
+    /// blank: a NaN token, a short or a long row, a bad token, a line that
+    /// is not UTF-8, or a whitespace-only line.
+    fn seeded_csv(n: usize, m: usize, seed: u64, faulty: bool) -> Vec<u8> {
+        let mut rng = dataset::rng::SplitMix64::seed_from_u64(seed);
+        let header: Vec<String> = (0..m).map(|j| format!("c{j}")).collect();
+        let mut text = header.join(",").into_bytes();
+        for _ in 0..n {
+            let mut cells: Vec<String> = (0..m)
+                .map(|_| format!("{:.4}", (rng.next_f64() - 0.5) * 200.0))
+                .collect();
+            let kind = if faulty { rng.usize_in(0..24) } else { 99 };
+            match kind {
+                0 => cells[m / 2] = "nan".into(),
+                1 => drop(cells.pop()),
+                2 => cells.push("1".into()),
+                3 => cells[0] = "x".into(),
+                4 => cells.clear(),
+                _ => {}
+            }
+            text.push(b'\n');
+            match kind {
+                4 => text.extend_from_slice(b" \t "),
+                5 => text.push(0xff),
+                _ => {}
+            }
+            text.extend_from_slice(cells.join(",").as_bytes());
+        }
+        text.push(b'\n');
+        text
+    }
+
+    /// What a scan leaves behind: its outcome or error text, its report,
+    /// and its checkpoint, which holds the accumulator's bits exactly.
+    fn left_behind(
+        scanner: &mut Scanner,
+        scan: impl FnOnce(&mut Scanner) -> Result<&ScanReport>,
+    ) -> [String; 3] {
+        let outcome = match scan(scanner) {
+            Ok(report) => format!("ok {report:?}"),
+            Err(e) => format!("error {e}"),
+        };
+        let report = format!("{:?}", scanner.report());
+        [outcome, report, scanner.checkpoint().to_json()]
+    }
+
+    /// A CSV scanned as text — taken in chunks, parsed by both workers and
+    /// absorbed in stream order — leaves exactly what a scan of the same
+    /// file read row by row leaves: the same outcome and error text, with
+    /// absolute line numbers, accumulator bits, report and checkpoint.
+    /// Clean and with bad and blank lines, under every policy, from a
+    /// start row and up to consumed limits inside a chunk, at chunk sizes
+    /// from one line per chunk to one chunk per file, and resumed from
+    /// each scan's checkpoint. Each multi-chunk scan runs 20 times, so the
+    /// workers take their turns in both orders.
+    #[test]
+    fn csv_text_scan_like_rows_read_one_by_one() {
+        let dir = workdir();
+        let (n, m) = (300usize, 5usize);
+        let policies = [
+            ScanPolicy::Strict,
+            ScanPolicy::quarantine_unlimited(),
+            ScanPolicy::Quarantine {
+                max_bad_rows: Some(3),
+                max_bad_fraction: None,
+            },
+            ScanPolicy::Quarantine {
+                max_bad_rows: None,
+                max_bad_fraction: Some(0.01),
+            },
+        ];
+        for (name, faulty) in [("clean.csv", false), ("faulty.csv", true)] {
+            let path = dir.join(name);
+            std::fs::write(&path, seeded_csv(n, m, 31, faulty)).unwrap();
+            let open = || CsvFileSource::open(&path, true).unwrap();
+            for policy in policies {
+                let fresh = || Scanner::new(m, policy);
+                let scanners = [
+                    ("whole stream", fresh()),
+                    (
+                        "rows 10..100",
+                        fresh().with_start_row(10).with_consumed_limit(100),
+                    ),
+                    (
+                        "rows 66..130",
+                        fresh().with_start_row(66).with_consumed_limit(130),
+                    ),
+                    ("up to row 64", fresh().with_consumed_limit(64)),
+                    ("from row 150", fresh().with_start_row(150)),
+                ];
+                for (range, scanner) in scanners {
+                    let what = format!("{name}, {policy:?}, {range}");
+                    let mut rows = scanner.clone();
+                    let want = left_behind(&mut rows, |s| s.scan(&mut RowByRow(open())));
+                    let resumed = Scanner::resume(&rows.checkpoint(), policy).unwrap();
+                    let mut rows = resumed.clone();
+                    let want_resumed = left_behind(&mut rows, |s| s.scan(&mut RowByRow(open())));
+                    for (chunk, reps) in [(1usize, 20), (200, 20), (4096, 20), (1 << 20, 1)] {
+                        for rep in 0..reps {
+                            let what = format!("{what}, {chunk}-byte chunks, run {rep}");
+                            let mut text = scanner.clone();
+                            let got =
+                                left_behind(&mut text, |s| s.scan_in_chunks(&mut open(), chunk));
+                            assert_eq!(got, want, "{what}");
+                            let mut text = Scanner::resume(&text.checkpoint(), policy).unwrap();
+                            let got =
+                                left_behind(&mut text, |s| s.scan_in_chunks(&mut open(), chunk));
+                            assert_eq!(got, want_resumed, "{what}, resumed");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A source read row by row is read up to the consumed limit and up to
+    /// the error that aborts a strict scan, not past them.
+    #[test]
+    fn row_sources_are_not_read_past_the_limit_or_a_strict_abort() {
+        let x = random_rows(300, 4, 3);
+        let mut src = CountingSource::new(RowByRow(MatrixSource::new(&x)));
+        let mut shard = Scanner::new(4, ScanPolicy::Strict)
+            .with_start_row(10)
+            .with_consumed_limit(100);
+        assert_eq!(shard.scan(&mut src).unwrap().rows_absorbed, 90);
+        assert_eq!(src.rows_delivered, 100);
+
+        let plan = FaultPlan {
+            seed: 5,
+            transient_rate: 0.0,
+            corrupt_rate: 0.0,
+            arity_rate: 0.02,
+            truncate_after: None,
+        };
+        let first_bad = (0..300).find(|&p| plan.arity_at(p)).unwrap();
+        let faulty = FaultyRowSource::new(MatrixSource::new(&x), plan);
+        let mut src = CountingSource::new(faulty);
+        let err = Scanner::new(4, ScanPolicy::Strict)
+            .scan(&mut src)
+            .unwrap_err();
+        assert!(err.to_string().contains("expected 4 fields"), "{err}");
+        assert_eq!(src.rows_delivered, first_bad);
+    }
+
+    /// Hands out its inner source's CSV text, recording which threads take
+    /// it. With `panic_off_caller`, a thread other than the one that built
+    /// it panics instead, and the first text goes out with a million
+    /// blank lines after it, so the calling thread is still parsing them
+    /// when the helper takes the next batch.
+    struct Takers<S> {
+        inner: S,
+        caller: thread::ThreadId,
+        threads: Vec<thread::ThreadId>,
+        panic_off_caller: bool,
+    }
+
+    impl<S: RowSource> Takers<S> {
+        fn new(inner: S, panic_off_caller: bool) -> Self {
+            Takers {
+                inner,
+                caller: thread::current().id(),
+                threads: Vec::new(),
+                panic_off_caller,
+            }
+        }
+    }
+
+    impl<S: RowSource> RowSource for Takers<S> {
+        fn n_cols(&self) -> usize {
+            self.inner.n_cols()
+        }
+        fn next_row(&mut self, buf: &mut [f64]) -> dataset::Result<bool> {
+            self.inner.next_row(buf)
+        }
+        fn rewind(&mut self) -> dataset::Result<()> {
+            self.inner.rewind()
+        }
+        fn read_text(
+            &mut self,
+            text: &mut Vec<u8>,
+            min_bytes: usize,
+        ) -> Option<dataset::Result<usize>> {
+            let me = thread::current().id();
+            assert!(
+                !self.panic_off_caller || me == self.caller,
+                "injected helper failure"
+            );
+            self.threads.push(me);
+            let first_line = self.inner.read_text(text, min_bytes);
+            if self.panic_off_caller && self.threads.len() == 1 {
+                text.resize(text.len() + 1_000_000, b'\n');
+            }
+            first_line
+        }
+    }
+
+    /// A CSV shorter than one chunk is scanned by the calling thread
+    /// alone, in one take: no helper is started.
+    #[test]
+    fn a_file_of_one_chunk_starts_no_helper() {
+        let dir = workdir();
+        let path = dir.join("small.csv");
+        std::fs::write(&path, seeded_csv(50, 4, 5, false)).unwrap();
+        let mut src = Takers::new(CsvFileSource::open(&path, true).unwrap(), false);
+        let mut scanner = Scanner::new(4, ScanPolicy::Strict);
+        assert_eq!(scanner.scan(&mut src).unwrap().rows_absorbed, 50);
+        assert_eq!(src.threads, [thread::current().id()]);
+    }
+
+    /// A panic on the helper ends the scan with `Invalid` naming it, not a
+    /// hang or a panic on the calling thread, and loses the accumulator.
+    #[test]
+    fn a_helper_panic_comes_back_as_invalid() {
+        let dir = workdir();
+        let path = dir.join("many_chunks.csv");
+        std::fs::write(&path, seeded_csv(2000, 4, 6, false)).unwrap();
+        let mut src = Takers::new(CsvFileSource::open(&path, true).unwrap(), true);
+        let mut scanner = Scanner::new(4, ScanPolicy::Strict);
+        let err = scanner.scan_in_chunks(&mut src, 16).unwrap_err();
+        assert!(
+            matches!(&err, RatioRuleError::Invalid(msg)
+                if msg.contains("scan worker thread panicked: injected helper failure")),
+            "{err}"
+        );
+        assert_eq!(scanner.accumulator().n_cols(), 0);
+    }
+
+    /// After a quarantined row splits a lent run, the scan asks for just
+    /// the rows that complete the accumulator's staged panel, so the runs
+    /// after it are lent panel-aligned and fold straight from the slice.
+    #[test]
+    fn lent_runs_realign_with_the_panel_after_a_quarantined_row() {
+        /// Records every `lend_rows` ask.
+        struct Asks<'a> {
+            inner: MatrixSource<'a>,
+            asked: Vec<usize>,
+        }
+        impl RowSource for Asks<'_> {
+            fn n_cols(&self) -> usize {
+                self.inner.n_cols()
+            }
+            fn next_row(&mut self, buf: &mut [f64]) -> dataset::Result<bool> {
+                self.inner.next_row(buf)
+            }
+            fn rewind(&mut self) -> dataset::Result<()> {
+                self.inner.rewind()
+            }
+            fn lend_rows(&mut self, max_rows: usize) -> Option<&[f64]> {
+                self.asked.push(max_rows);
+                self.inner.lend_rows(max_rows)
+            }
+        }
+        let mut x = random_rows(200, 3, 9);
+        x.data_mut()[5 * 3] = f64::NAN;
+        let mut src = Asks {
+            inner: MatrixSource::new(&x),
+            asked: Vec::new(),
+        };
+        let mut scanner = Scanner::new(3, ScanPolicy::quarantine_unlimited());
+        scanner.scan(&mut src).unwrap();
+        // The probe, rows 0..64 (row 5 quarantined, 63 rows staged), the one
+        // row that fills the panel, two aligned panels, the last 7 rows,
+        // and the end of the stream.
+        assert_eq!(src.asked, [0, 64, 1, 64, 64, 64, 57]);
+        assert_same_acc(
+            scanner.accumulator(),
+            &pushed(&x, (0..200).filter(|&r| r != 5)),
+            "realigned lent scan",
+        );
+    }
+
     /// A scan that stops on a bad row — a strict abort, or the row that
     /// exhausts a `max_bad_rows` budget — at the last row of a panel, the
     /// first of the next, or further in, leaves exactly the absorbed rows
@@ -2147,7 +2644,7 @@ mod tests {
 
     /// Quarantine scan, then the degradation ladder: the resilient
     /// pipeline `mine --max-bad-rows --degrade` runs.
-    fn quarantine_then_ladder<S: RowSource>(
+    fn quarantine_then_ladder<S: RowSource + Send>(
         source: &mut S,
         labels: Vec<String>,
     ) -> (ServedModel, ScanReport, DegradationReport) {
@@ -2259,9 +2756,33 @@ mod tests {
         assert!(snap.counter("faults_injected_corrupt_total").unwrap() >= 1);
     }
 
-    fn block_file(name: &str, x: &Matrix) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("rr_resilience_{}", std::process::id()));
+    /// A directory of one test's own under the system temp dir, removed
+    /// with everything in it when dropped, so also when the test fails.
+    struct TempDir(std::path::PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = std::path::Path;
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn workdir() -> TempDir {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let name = format!("rr_resilience_{}_{n}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
         std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+
+    fn block_file(dir: &std::path::Path, name: &str, x: &Matrix) -> std::path::PathBuf {
         let path = dir.join(name);
         dataset::columnar::write_block_file(&path, x.cols(), x.rows(), x.data()).unwrap();
         path
@@ -2269,8 +2790,9 @@ mod tests {
 
     #[test]
     fn columnar_scan_matches_row_scan_bitwise() {
+        let dir = workdir();
         let x = data(137, 5);
-        let path = block_file("clean.rrcb", &x);
+        let path = block_file(&dir, "clean.rrcb", &x);
         let (row_acc, _) = scan_matrix(&x, ScanPolicy::Strict);
         for policy in [ScanPolicy::Strict, ScanPolicy::quarantine_unlimited()] {
             let mut src = ColumnarBlockSource::open(&path).unwrap();
@@ -2289,6 +2811,7 @@ mod tests {
 
     #[test]
     fn columnar_quarantine_attributes_exact_rows() {
+        let dir = workdir();
         // Poison two rows in different panels; the block file stores
         // them verbatim (the container is format-agnostic), so the scan
         // policy is what catches them.
@@ -2297,7 +2820,7 @@ mod tests {
         for &r in &bad {
             x.data_mut()[r * 4 + 2] = f64::NAN;
         }
-        let path = block_file("poisoned.rrcb", &x);
+        let path = block_file(&dir, "poisoned.rrcb", &x);
         let mut src = ColumnarBlockSource::open(&path).unwrap();
         let mut scanner = Scanner::new(4, ScanPolicy::quarantine_unlimited());
         let report = scanner.scan(&mut src).unwrap().clone();
@@ -2326,9 +2849,10 @@ mod tests {
 
     #[test]
     fn columnar_strict_aborts_on_corrupt_block() {
+        let dir = workdir();
         let mut x = data(40, 3);
         x.data_mut()[10 * 3 + 1] = f64::INFINITY;
-        let path = block_file("strict.rrcb", &x);
+        let path = block_file(&dir, "strict.rrcb", &x);
         let mut src = ColumnarBlockSource::open(&path).unwrap();
         let mut scanner = Scanner::new(3, ScanPolicy::Strict);
         let err = scanner.scan(&mut src).unwrap_err();
@@ -2337,12 +2861,13 @@ mod tests {
 
     #[test]
     fn columnar_checkpoint_resume_equals_uninterrupted() {
+        let dir = workdir();
         let x = data(200, 4);
-        let full = block_file("resume_full.rrcb", &x);
+        let full = block_file(&dir, "resume_full.rrcb", &x);
         // First half as its own file: the "process died here" prefix.
         let k = 83; // mid-panel on purpose
         let head = Matrix::from_fn(k, 4, |i, j| x.row(i)[j]);
-        let head_path = block_file("resume_head.rrcb", &head);
+        let head_path = block_file(&dir, "resume_head.rrcb", &head);
 
         let mut first = Scanner::new(4, ScanPolicy::quarantine_unlimited());
         let mut head_src = ColumnarBlockSource::open(&head_path).unwrap();
@@ -2371,15 +2896,16 @@ mod tests {
 
     #[test]
     fn columnar_resume_rejects_shrunk_file() {
+        let dir = workdir();
         let x = data(60, 3);
-        let path = block_file("shrunk.rrcb", &x);
+        let path = block_file(&dir, "shrunk.rrcb", &x);
         let mut scanner = Scanner::new(3, ScanPolicy::Strict);
         let mut src = ColumnarBlockSource::open(&path).unwrap();
         scanner.scan(&mut src).unwrap();
         let ckpt = scanner.checkpoint();
 
         let small = Matrix::from_fn(10, 3, |i, j| x.row(i)[j]);
-        let small_path = block_file("shrunk_small.rrcb", &small);
+        let small_path = block_file(&dir, "shrunk_small.rrcb", &small);
         let mut resumed = Scanner::resume(&ckpt, ScanPolicy::Strict).unwrap();
         let mut small_src = ColumnarBlockSource::open(&small_path).unwrap();
         let err = resumed.scan(&mut small_src).unwrap_err();
@@ -2388,10 +2914,11 @@ mod tests {
 
     #[test]
     fn resume_over_a_source_of_another_width_is_an_error() {
+        let dir = workdir();
         let x = data(30, 3);
         let (acc, _) = scan_matrix(&x, ScanPolicy::Strict);
         let cp = ScanCheckpoint::capture(&acc, 30, &ScanReport::default());
-        let wider = block_file("wider.rrcb", &data(30, 4));
+        let wider = block_file(&dir, "wider.rrcb", &data(30, 4));
         let mut scanner = Scanner::resume(&cp, ScanPolicy::quarantine_unlimited()).unwrap();
         let err = scanner
             .scan(&mut ColumnarBlockSource::open(&wider).unwrap())
@@ -2410,8 +2937,9 @@ mod tests {
 
     #[test]
     fn columnar_file_truncated_after_open_fails_a_quarantine_scan() {
+        let dir = workdir();
         let x = data(150, 4);
-        let path = block_file("truncated_after_open.rrcb", &x);
+        let path = block_file(&dir, "truncated_after_open.rrcb", &x);
         let mut src = ColumnarBlockSource::open(&path).unwrap();
         // The file shrinks mid-row 70 after open validated its length.
         let cut = dataset::columnar::HEADER_LEN + (70 * 4 * 8 + 5) as u64;
@@ -2436,8 +2964,9 @@ mod tests {
 
     #[test]
     fn resilient_columnar_mine_equals_row_mining_bitwise() {
+        let dir = workdir();
         let x = data(120, 4);
-        let path = block_file("mine.rrcb", &x);
+        let path = block_file(&dir, "mine.rrcb", &x);
         let labels: Vec<String> = ["a", "b", "c", "d"].iter().map(|s| s.to_string()).collect();
         let mut src = ColumnarBlockSource::open(&path).unwrap();
         let (model, scan, _) = quarantine_then_ladder(&mut src, labels.clone());

@@ -268,19 +268,15 @@ impl std::fmt::Debug for ColumnarBlockSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdir::workdir;
     use linalg::Matrix;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("rr_columnar_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
 
     #[test]
     fn convert_roundtrips_csv_bitwise() {
-        let csv = tmp("roundtrip.csv");
+        let dir = workdir("columnar");
+        let csv = dir.join("roundtrip.csv");
         std::fs::write(&csv, "a,b,c\n1.5,-2.25,3e-7\n0.1,0.2,0.3\n7,8,9\n").unwrap();
-        let blk = tmp("roundtrip.rrcb");
+        let blk = dir.join("roundtrip.rrcb");
         let report = convert_csv_file(&csv, &blk, true).unwrap();
         assert_eq!(report, ConvertReport { rows: 3, cols: 3 });
 
@@ -294,13 +290,12 @@ mod tests {
         for (a, b) in got.data().iter().zip(expect.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        std::fs::remove_file(&csv).unwrap();
-        std::fs::remove_file(&blk).unwrap();
     }
 
     #[test]
     fn rows_stream_to_the_end_and_rewind() {
-        let blk = tmp("chunks.rrcb");
+        let dir = workdir("columnar");
+        let blk = dir.join("chunks.rrcb");
         let data: Vec<f64> = (0..10 * 3).map(|i| i as f64 * 0.5).collect();
         write_block_file(&blk, 3, 10, &data).unwrap();
         let mut src = ColumnarBlockSource::open(&blk).unwrap();
@@ -316,12 +311,12 @@ mod tests {
         src.rewind().unwrap();
         let m = src.collect_matrix().unwrap();
         assert_eq!(m, Matrix::from_vec(10, 3, data).unwrap());
-        std::fs::remove_file(&blk).unwrap();
     }
 
     #[test]
     fn seek_row_is_exact() {
-        let blk = tmp("seek.rrcb");
+        let dir = workdir("columnar");
+        let blk = dir.join("seek.rrcb");
         let data: Vec<f64> = (0..6 * 2).map(|i| i as f64).collect();
         write_block_file(&blk, 2, 6, &data).unwrap();
         let mut src = ColumnarBlockSource::open(&blk).unwrap();
@@ -330,56 +325,54 @@ mod tests {
         assert!(src.next_row(&mut buf).unwrap());
         assert_eq!(buf, [8.0, 9.0]);
         assert!(src.seek_row(7).is_err());
-        std::fs::remove_file(&blk).unwrap();
     }
 
     #[test]
     fn open_rejects_corrupt_headers() {
-        let p = tmp("bad_magic.rrcb");
+        let dir = workdir("columnar");
+        let p = dir.join("bad_magic.rrcb");
         std::fs::write(&p, b"NOPE\x01\x00\x00\x00").unwrap();
         assert!(matches!(
             ColumnarBlockSource::open(&p),
             Err(DatasetError::Invalid(msg)) if msg.contains("too short") || msg.contains("magic")
         ));
-        std::fs::remove_file(&p).unwrap();
 
         // Truncated payload: header promises more rows than the file holds.
-        let p = tmp("truncated.rrcb");
+        let p = dir.join("truncated.rrcb");
         let data: Vec<f64> = vec![1.0; 4];
         write_block_file(&p, 2, 2, &data).unwrap();
         let full = std::fs::read(&p).unwrap();
         std::fs::write(&p, &full[..full.len() - 8]).unwrap();
         let err = ColumnarBlockSource::open(&p).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
-        std::fs::remove_file(&p).unwrap();
 
         // Wrong version.
-        let p = tmp("version.rrcb");
+        let p = dir.join("version.rrcb");
         let mut bytes = full.clone();
         bytes[4] = 9;
         std::fs::write(&p, &bytes).unwrap();
         let err = ColumnarBlockSource::open(&p).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn write_block_file_validates_shape() {
-        let p = tmp("shape.rrcb");
+        let dir = workdir("columnar");
+        let p = dir.join("shape.rrcb");
         assert!(write_block_file(&p, 3, 2, &[0.0; 5]).is_err());
     }
 
     #[test]
     fn non_finite_values_survive_the_container_for_scan_policies() {
+        let dir = workdir("columnar");
         // The container itself is value-agnostic: a corrupted file can
         // hold a NaN, and it is the *scan* layer's quarantine that must
         // catch it. The reader hands it through faithfully.
-        let p = tmp("nan.rrcb");
+        let p = dir.join("nan.rrcb");
         write_block_file(&p, 2, 2, &[1.0, f64::NAN, 3.0, 4.0]).unwrap();
         let mut src = ColumnarBlockSource::open(&p).unwrap();
         let mut buf = [0.0; 2];
         assert!(src.next_row(&mut buf).unwrap());
         assert!(buf[1].is_nan());
-        std::fs::remove_file(&p).unwrap();
     }
 }

@@ -5,16 +5,21 @@
 //! datasets (NBA/baseball/abalone tables) are distributed, without pulling
 //! in a CSV dependency.
 //!
-//! Every CSV reader in the crate — [`read_csv`], [`read_csv_holed`] and
-//! [`crate::source::CsvFileSource`] — goes through one row parser,
-//! `CsvLines`. It reads each line into one reused byte buffer, checks
-//! it for UTF-8 once, trims it, splits it on commas and writes each
-//! trimmed cell straight into the caller's slice. Blank lines are
-//! skipped; the header, when there is one, is the first non-blank line,
-//! and it fixes the row width (otherwise the first data row does). One
-//! UTF-8 byte-order mark at the very start of the input (as Excel's
-//! "CSV UTF-8" export writes) is dropped; anywhere else it is an error
-//! like any other stray character.
+//! Every CSV reader in the crate — [`read_csv`], [`read_csv_holed`],
+//! [`crate::source::CsvFileSource`] and [`CsvText`] — goes through one
+//! row parser: one line reader (`line_text`) and one field parser
+//! (`parse_fields`). A line is checked for UTF-8 once and trimmed, then
+//! split on commas, and each trimmed cell is written straight into the
+//! caller's slice. `CsvLines` reads each line from a stream into one
+//! reused byte buffer; [`CsvText`] reads the lines of a chunk of text in
+//! place, so a scan can take a file's text under a lock
+//! ([`crate::source::RowSource::read_text`]) and parse it on any thread,
+//! with the same rows, bits and errors, absolute line numbers included.
+//! Blank lines are skipped; the header, when there is one, is the first
+//! non-blank line, and it fixes the row width (otherwise the first data
+//! row does). One UTF-8 byte-order mark at the very start of the input
+//! (as Excel's "CSV UTF-8" export writes) is dropped; anywhere else it is
+//! an error like any other stray character.
 //! Plain decimals of up to 19 digits take an exact fast path; every
 //! other token goes through `str::parse` ([`parse_cell`]).
 
@@ -184,6 +189,27 @@ fn parse_fields<T>(
 /// U+FEFF encoded as UTF-8: the byte-order mark some editors put first.
 const UTF8_BOM: &[u8] = b"\xEF\xBB\xBF";
 
+/// The trimmed text of line number `line`, read as `bytes` (its line end
+/// included), or `None` for a blank line. A line that is not UTF-8 fails
+/// with the `InvalidData` I/O error `BufRead::lines` gives. Line 1 loses
+/// one leading byte-order mark.
+fn line_text(bytes: &[u8], line: usize) -> Result<Option<&str>> {
+    let bytes = if line == 1 {
+        bytes.strip_prefix(UTF8_BOM).unwrap_or(bytes)
+    } else {
+        bytes
+    };
+    let text = std::str::from_utf8(bytes)
+        .map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?
+        .trim();
+    Ok((!text.is_empty()).then_some(text))
+}
+
 /// The crate's one CSV row reader: numbered, non-blank, trimmed lines
 /// read through one reused buffer.
 pub(crate) struct CsvLines<R> {
@@ -203,9 +229,8 @@ impl<R: BufRead> CsvLines<R> {
     }
 
     /// Reads up to the next non-blank line and hands it, trimmed, to `f`
-    /// with its 1-based line number. `Ok(None)` at end of input. A line
-    /// that is not UTF-8 fails with the `InvalidData` I/O error
-    /// `BufRead::lines` gives. Line 1 loses one leading byte-order mark.
+    /// with its 1-based line number. `Ok(None)` at end of input. Lines are
+    /// read as [`line_text`] reads them.
     pub(crate) fn next_line<T>(
         &mut self,
         f: impl FnOnce(&str, usize) -> Result<T>,
@@ -216,23 +241,35 @@ impl<R: BufRead> CsvLines<R> {
                 return Ok(None);
             }
             self.line += 1;
-            let bytes = if self.line == 1 {
-                self.buf.strip_prefix(UTF8_BOM).unwrap_or(&self.buf)
-            } else {
-                &self.buf
-            };
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "stream did not contain valid UTF-8",
-                    )
-                })?
-                .trim();
-            if !text.is_empty() {
+            if let Some(text) = line_text(&self.buf, self.line)? {
                 return f(text, self.line).map(Some);
             }
         }
+    }
+
+    /// Moves the next whole lines into `text` unparsed, replacing what it
+    /// held: at least `min_bytes` unless the input ends first, and up to a
+    /// line end or the end of the input. Returns the 1-based number of the
+    /// first line moved; `text` is left empty at the end of the input.
+    pub(crate) fn read_text(&mut self, text: &mut Vec<u8>, min_bytes: usize) -> Result<usize> {
+        text.clear();
+        text.reserve(min_bytes);
+        let first = self.line + 1;
+        // A read as large as the reader's buffer bypasses it.
+        (&mut self.reader)
+            .take(min_bytes as u64)
+            .read_to_end(text)?;
+        if text.last().is_some_and(|&b| b != b'\n') {
+            self.reader.read_until(b'\n', text)?;
+        }
+        // Count the lines with `skip_until`'s word-at-a-time memchr: a
+        // plain `filter(..).count()` over the bytes does not vectorize
+        // and took twice as long as the read.
+        let mut rest = &text[..];
+        while rest.skip_until(b'\n')? > 0 {
+            self.line += 1;
+        }
+        Ok(first)
     }
 
     /// The next non-blank line as trimmed column labels.
@@ -260,6 +297,59 @@ impl<R: BufRead + Seek> CsvLines<R> {
         self.reader.seek(SeekFrom::Start(0))?;
         self.line = 0;
         Ok(())
+    }
+}
+
+/// The rows of CSV text that [`crate::source::RowSource::read_text`]
+/// handed out: whole lines, numbered from the first line's number in the
+/// file. Each line goes through the same line and field parsing as
+/// [`crate::source::CsvFileSource`]'s `next_row`, in place, so the rows,
+/// their bits and the errors, with their absolute line and column
+/// numbers, are exactly what that source yields row by row over the same
+/// lines.
+#[derive(Debug, Clone)]
+pub struct CsvText<'a> {
+    /// The lines not read yet.
+    rest: &'a [u8],
+    /// 1-based number of the last line read.
+    line: usize,
+}
+
+impl<'a> CsvText<'a> {
+    /// Rows of `text`, whose first line is line `first_line` (1-based) of
+    /// its file.
+    pub fn new(text: &'a [u8], first_line: usize) -> Self {
+        CsvText {
+            rest: text,
+            line: first_line.saturating_sub(1),
+        }
+    }
+
+    /// Parses the next non-blank line into `out`, which fixes the width;
+    /// `Ok(false)` past the last line. A bad line fails with the error
+    /// the file source's `next_row` gives for it and is consumed, so the
+    /// next call reads the line after it.
+    ///
+    /// # Errors
+    ///
+    /// As [`crate::source::CsvFileSource`]'s `next_row`: the
+    /// `InvalidData` I/O error for a line that is not UTF-8, and a ragged
+    /// row or a bad cell with its line and column.
+    pub fn next_row(&mut self, out: &mut [f64]) -> Result<bool> {
+        while !self.rest.is_empty() {
+            // `skip_until` finds the line end with std's word-at-a-time
+            // memchr, copying nothing.
+            let mut after = self.rest;
+            let len = after.skip_until(b'\n')?;
+            let (bytes, rest) = self.rest.split_at(len);
+            self.rest = rest;
+            self.line += 1;
+            if let Some(text) = line_text(bytes, self.line)? {
+                parse_fields(text, self.line, out, |v| v, parse_cell)?;
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
 }
 
@@ -758,13 +848,11 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("rr_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::testdir::workdir("csv");
         let path = dir.join("m.csv");
         let dm = DataMatrix::new(Matrix::from_rows(&[&[1.0, 2.0]]).unwrap());
         write_csv_file(&dm, &path).unwrap();
         let back = read_csv_file(&path, true).unwrap();
         assert_eq!(back.matrix(), dm.matrix());
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -68,3 +68,36 @@ pub use error::DatasetError;
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, DatasetError>;
+
+/// Temporary directories for the crate's file tests.
+#[cfg(test)]
+pub(crate) mod testdir {
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A directory of one test's own under the system temp dir, removed
+    /// with everything in it when dropped, so also when the test fails.
+    pub(crate) struct TempDir(PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A fresh directory named after `tag`, this process and a counter.
+    pub(crate) fn workdir(tag: &str) -> TempDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("rr_{tag}_{}_{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}

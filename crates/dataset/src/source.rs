@@ -9,7 +9,9 @@
 //!
 //! A source that already holds its rows in memory can also lend them
 //! ([`RowSource::lend_rows`]): the scan then reads them in place instead
-//! of copying each one out.
+//! of copying each one out. A source that reads CSV text can hand the
+//! text out unparsed ([`RowSource::read_text`]): the scan then takes it
+//! in chunks under a lock and parses them on two threads.
 
 use crate::csv::CsvLines;
 use crate::{DataMatrix, DatasetError, Result};
@@ -18,6 +20,17 @@ use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
 /// A forward-only, rewindable stream of fixed-width rows.
+///
+/// The core crate's `Scanner::scan` reads a source one of three ways,
+/// asked once per scan: rows it lends ([`RowSource::lend_rows`]) are
+/// checked and folded in place on the calling thread; CSV text it hands
+/// out ([`RowSource::read_text`]) is taken in chunks under a lock and
+/// parsed by two workers, the calling thread and one helper; any other
+/// source is read with [`RowSource::next_row`] under that lock, up to one
+/// panel of rows at a time, by either worker. Either way the scan, not
+/// the source, checks each row, once, in stream order, and a stream of
+/// one chunk or panel is read on the calling thread alone. A source a
+/// scan reads on two threads must be `Send`.
 pub trait RowSource {
     /// Number of attributes per row.
     fn n_cols(&self) -> usize;
@@ -37,6 +50,22 @@ pub trait RowSource {
     /// lends has `n_cols() > 0` and lends on every call.
     fn lend_rows(&mut self, max_rows: usize) -> Option<&[f64]> {
         let _ = max_rows;
+        None
+    }
+
+    /// Moves the next whole lines of the source's CSV text into `text`,
+    /// replacing what it held, unparsed: at least `min_bytes` unless the
+    /// text ends first, and up to a line end or the end of the text.
+    /// Returns the 1-based number of the first line moved, with `text`
+    /// left empty at end of stream, and advances the cursor past the
+    /// lines. [`crate::csv::CsvText`] parses them into exactly the rows
+    /// and errors [`RowSource::next_row`] would have yielded, so a caller
+    /// can take the text under a lock and parse it on any thread. Returns
+    /// `None` when the source does not read CSV text, which is the
+    /// default: such a source is read with `next_row` only. A source that
+    /// hands out text does so on every call.
+    fn read_text(&mut self, text: &mut Vec<u8>, min_bytes: usize) -> Option<Result<usize>> {
+        let _ = (text, min_bytes);
         None
     }
 
@@ -70,6 +99,9 @@ impl<S: RowSource + ?Sized> RowSource for &mut S {
     fn lend_rows(&mut self, max_rows: usize) -> Option<&[f64]> {
         (**self).lend_rows(max_rows)
     }
+    fn read_text(&mut self, text: &mut Vec<u8>, min_bytes: usize) -> Option<Result<usize>> {
+        (**self).read_text(text, min_bytes)
+    }
 }
 
 // A boxed source is a source: the CLI builds `Box<dyn RowSource>` stacks
@@ -86,6 +118,9 @@ impl<S: RowSource + ?Sized> RowSource for Box<S> {
     }
     fn lend_rows(&mut self, max_rows: usize) -> Option<&[f64]> {
         (**self).lend_rows(max_rows)
+    }
+    fn read_text(&mut self, text: &mut Vec<u8>, min_bytes: usize) -> Option<Result<usize>> {
+        (**self).read_text(text, min_bytes)
     }
 }
 
@@ -145,7 +180,12 @@ impl RowSource for MatrixSource<'_> {
 /// File-backed row source reading CSV-formatted rows lazily from disk —
 /// the paper's "read the ith row of X from disk" setting. Rows go through
 /// the same parser as [`crate::csv::read_csv`], straight into the
-/// caller's buffer.
+/// caller's buffer. It also hands out its text unparsed
+/// ([`RowSource::read_text`]): `Scanner::scan` takes it ~64 KiB of whole
+/// lines at a time and parses the chunks on both of its workers, a file
+/// of one chunk on the calling thread alone, while `next_row` parses on
+/// whichever thread calls it. The scan checks each parsed row once, in
+/// file order.
 pub struct CsvFileSource {
     path: PathBuf,
     lines: CsvLines<BufReader<std::fs::File>>,
@@ -210,6 +250,10 @@ impl RowSource for CsvFileSource {
         }
         Ok(())
     }
+
+    fn read_text(&mut self, text: &mut Vec<u8>, min_bytes: usize) -> Option<Result<usize>> {
+        Some(self.lines.read_text(text, min_bytes))
+    }
 }
 
 impl std::fmt::Debug for CsvFileSource {
@@ -273,6 +317,7 @@ impl<S: RowSource> RowSource for CountingSource<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdir::workdir;
 
     fn sample_matrix() -> Matrix {
         Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap()
@@ -310,8 +355,7 @@ mod tests {
 
     #[test]
     fn csv_file_source_streams_and_rewinds() {
-        let dir = std::env::temp_dir().join("rr_source_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = workdir("source");
         let path = dir.join("rows.csv");
         std::fs::write(&path, "a,b\n1,2\n\n3,4\n").unwrap();
 
@@ -325,13 +369,11 @@ mod tests {
         // Second pass after rewind gives the same data.
         let again = src.collect_matrix().unwrap();
         assert_eq!(again, collected);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn csv_file_source_drops_a_leading_byte_order_mark_on_every_pass() {
-        let dir = std::env::temp_dir().join("rr_source_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = workdir("source");
         let want = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         for (name, text, has_header) in [
             ("bom_header.csv", "\u{feff}a,b\n1,2\n3,4\n", true),
@@ -349,14 +391,12 @@ mod tests {
             // Each collect rewinds, so line 1 is read again every pass.
             assert_eq!(src.collect_matrix().unwrap(), want, "{name}");
             assert_eq!(src.collect_matrix().unwrap(), want, "{name}");
-            std::fs::remove_file(&path).unwrap();
         }
     }
 
     #[test]
     fn csv_file_source_detects_ragged_rows() {
-        let dir = std::env::temp_dir().join("rr_source_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = workdir("source");
         let path = dir.join("ragged.csv");
         std::fs::write(&path, "1,2\n3\n").unwrap();
         let mut src = CsvFileSource::open(&path, false).unwrap();
@@ -366,23 +406,19 @@ mod tests {
             src.next_row(&mut buf),
             Err(DatasetError::RaggedRows { .. })
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn csv_file_source_rejects_empty() {
-        let dir = std::env::temp_dir().join("rr_source_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = workdir("source");
         let path = dir.join("empty.csv");
         std::fs::write(&path, "header,only\n").unwrap();
         assert!(CsvFileSource::open(&path, true).is_err());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn csv_file_source_exposes_header_labels() {
-        let dir = std::env::temp_dir().join("rr_source_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = workdir("source");
         let path = dir.join("labels.csv");
         std::fs::write(&path, "height, weight\n1,2\n").unwrap();
         let src = CsvFileSource::open(&path, true).unwrap();
@@ -390,19 +426,16 @@ mod tests {
             src.col_labels(),
             Some(&["height".to_string(), "weight".to_string()][..])
         );
-        std::fs::remove_file(&path).unwrap();
 
         let path = dir.join("nolabels.csv");
         std::fs::write(&path, "1,2\n").unwrap();
         let src = CsvFileSource::open(&path, false).unwrap();
         assert!(src.col_labels().is_none());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn csv_file_source_rejects_bad_cells_with_location() {
-        let dir = std::env::temp_dir().join("rr_source_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = workdir("source");
         let path = dir.join("badcell.csv");
         std::fs::write(&path, "1,2\n3,nan\n5,\n").unwrap();
         let mut src = CsvFileSource::open(&path, false).unwrap();
@@ -417,12 +450,9 @@ mod tests {
             src.next_row(&mut buf),
             Err(DatasetError::EmptyCell { line: 3, column: 1 })
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 
-    fn write_tmp(name: &str, text: &[u8]) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("rr_source_test");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn write_tmp(dir: &std::path::Path, name: &str, text: &[u8]) -> std::path::PathBuf {
         let path = dir.join(name);
         std::fs::write(&path, text).unwrap();
         path
@@ -430,10 +460,11 @@ mod tests {
 
     #[test]
     fn csv_file_source_takes_width_from_header_without_parsing_a_row() {
+        let dir = workdir("source");
         let mut buf = [0.0; 2];
         // A corrupt first data row does not fail `open`: the header fixes
         // the width and the bad row is the scan's to report.
-        let path = write_tmp("corrupt_first.csv", b"a,b\nx,2\n3,5\n");
+        let path = write_tmp(&dir, "corrupt_first.csv", b"a,b\nx,2\n3,5\n");
         let mut src = CsvFileSource::open(&path, true).unwrap();
         assert_eq!(src.n_cols(), 2);
         assert!(matches!(
@@ -442,10 +473,9 @@ mod tests {
         ));
         assert!(src.next_row(&mut buf).unwrap());
         assert_eq!(buf, [3.0, 5.0]);
-        std::fs::remove_file(&path).unwrap();
 
         // Nor does a ragged first row set the width of the rows after it.
-        let path = write_tmp("ragged_first.csv", b"a,b\n1\n3,5\n");
+        let path = write_tmp(&dir, "ragged_first.csv", b"a,b\n1\n3,5\n");
         let mut src = CsvFileSource::open(&path, true).unwrap();
         assert_eq!(src.n_cols(), 2);
         assert!(matches!(
@@ -454,11 +484,10 @@ mod tests {
         ));
         assert!(src.next_row(&mut buf).unwrap());
         assert_eq!(buf, [3.0, 5.0]);
-        std::fs::remove_file(&path).unwrap();
 
         // A header wider than the data fails on the first data row, with
         // its line.
-        let path = write_tmp("header_mismatch.csv", b"a,b,c\n1,2\n");
+        let path = write_tmp(&dir, "header_mismatch.csv", b"a,b,c\n1,2\n");
         let mut src = CsvFileSource::open(&path, true).unwrap();
         assert_eq!(src.n_cols(), 3);
         let mut wide = [0.0; 3];
@@ -466,12 +495,12 @@ mod tests {
             src.next_row(&mut wide),
             Err(DatasetError::RaggedRows { line: 2, expected: 3, actual: 2 })
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn csv_file_source_counts_first_line_fields_without_a_header() {
-        let path = write_tmp("headerless_corrupt_first.csv", b"\n x ,2 \n3,5\n");
+        let dir = workdir("source");
+        let path = write_tmp(&dir, "headerless_corrupt_first.csv", b"\n x ,2 \n3,5\n");
         let mut src = CsvFileSource::open(&path, false).unwrap();
         assert_eq!(src.n_cols(), 2);
         let mut buf = [0.0; 2];
@@ -482,12 +511,12 @@ mod tests {
         assert!(src.next_row(&mut buf).unwrap());
         assert_eq!(buf, [3.0, 5.0]);
         assert!(!src.next_row(&mut buf).unwrap());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn csv_file_source_numbers_lines_past_a_non_utf8_line() {
-        let path = write_tmp("bad_utf8.csv", b"1,2\n\xff,2\n3,x\n");
+        let dir = workdir("source");
+        let path = write_tmp(&dir, "bad_utf8.csv", b"1,2\n\xff,2\n3,x\n");
         let mut src = CsvFileSource::open(&path, false).unwrap();
         let mut buf = [0.0; 2];
         assert!(src.next_row(&mut buf).unwrap());
@@ -499,7 +528,6 @@ mod tests {
             src.next_row(&mut buf),
             Err(DatasetError::Parse { line: 3, column: 1, .. })
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 
     // Satellite: a source that errored mid-stream must be safely
@@ -507,8 +535,7 @@ mod tests {
     // stream from the top, not a stream starting past the bad row.
     #[test]
     fn csv_file_source_rewinds_cleanly_after_error() {
-        let dir = std::env::temp_dir().join("rr_source_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = workdir("source");
         let path = dir.join("rewind_after_error.csv");
         std::fs::write(&path, "a,b\n1,2\n3,oops\n5,6\n").unwrap();
         let mut src = CsvFileSource::open(&path, true).unwrap();
@@ -536,7 +563,6 @@ mod tests {
             collected,
             Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap()
         );
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -554,6 +580,7 @@ mod tests {
     /// that act per row, and sources that read from disk, lend nothing.
     #[test]
     fn in_memory_rows_are_lent_through_forwarding_wrappers() {
+        let dir = workdir("source");
         let m = sample_matrix();
         let mut src = MatrixSource::new(&m);
         assert_eq!(src.lend_rows(2), Some(&[1.0, 2.0, 3.0, 4.0][..]));
@@ -581,11 +608,183 @@ mod tests {
         let policy = crate::retry::BackoffPolicy::default();
         let mut retrying = crate::retry::RetryingSource::new(MatrixSource::new(&m), policy);
         assert!(retrying.lend_rows(1).is_none());
-        let path = write_tmp("lend.csv", b"1,2\n3,4\n");
+        let path = write_tmp(&dir, "lend.csv", b"1,2\n3,4\n");
         assert!(CsvFileSource::open(&path, false).unwrap().lend_rows(1).is_none());
-        std::fs::remove_file(&path).unwrap();
         let no_cols = Matrix::zeros(3, 0);
         assert!(MatrixSource::new(&no_cols).lend_rows(1).is_none());
+    }
+
+    /// CSV text is handed out by the file source and through the
+    /// forwarding wrappers; sources and wrappers that act per row hand
+    /// out none.
+    #[test]
+    fn csv_text_is_handed_out_by_file_sources_only() {
+        let dir = workdir("source");
+        let path = write_tmp(&dir, "text.csv", b"a,b\n1,2\n3,4\n");
+        let mut text = Vec::new();
+        let mut csv = CsvFileSource::open(&path, true).unwrap();
+        assert_eq!(csv.read_text(&mut text, 1).unwrap().unwrap(), 2);
+        assert_eq!(text, b"1,2\n");
+        let mut boxed: Box<dyn RowSource> = Box::new(CsvFileSource::open(&path, true).unwrap());
+        assert_eq!(boxed.read_text(&mut text, 100).unwrap().unwrap(), 2);
+        assert_eq!(text, b"1,2\n3,4\n");
+        assert_eq!(boxed.read_text(&mut text, 100).unwrap().unwrap(), 4);
+        assert!(text.is_empty(), "end of stream");
+        let mut inner = CsvFileSource::open(&path, false).unwrap();
+        let borrowed: &mut dyn RowSource = &mut inner;
+        assert_eq!(borrowed.read_text(&mut text, 1).unwrap().unwrap(), 1);
+        assert_eq!(text, b"a,b\n");
+
+        let m = sample_matrix();
+        assert!(MatrixSource::new(&m).read_text(&mut text, 1).is_none());
+        let open = || CsvFileSource::open(&path, true).unwrap();
+        let plan = crate::fault::FaultPlan::none(1);
+        assert!(crate::fault::FaultyRowSource::new(open(), plan)
+            .read_text(&mut text, 1)
+            .is_none());
+        let policy = crate::retry::BackoffPolicy::default();
+        assert!(crate::retry::RetryingSource::new(open(), policy)
+            .read_text(&mut text, 1)
+            .is_none());
+        assert!(CountingSource::new(open())
+            .read_text(&mut text, 1)
+            .is_none());
+    }
+
+    /// One row's outcome: its cells' bits, or its error text.
+    type RowOutcome = std::result::Result<Vec<u64>, String>;
+
+    fn outcome(row: &[f64], got: Result<bool>) -> Option<RowOutcome> {
+        match got {
+            Ok(true) => Some(Ok(row.iter().map(|v| v.to_bits()).collect())),
+            Ok(false) => None,
+            Err(e) => Some(Err(e.to_string())),
+        }
+    }
+
+    /// Every row and error of `src`, read with `next_row` after `skip`
+    /// rows.
+    fn rows_one_by_one(src: &mut CsvFileSource, skip: usize) -> Vec<RowOutcome> {
+        let mut row = vec![0.0; src.n_cols()];
+        src.rewind().unwrap();
+        let mut all = Vec::new();
+        loop {
+            let got = src.next_row(&mut row);
+            let Some(o) = outcome(&row, got) else {
+                return all.split_off(skip.min(all.len()));
+            };
+            all.push(o);
+        }
+    }
+
+    /// The same, with the rows after the first `skip` taken as text
+    /// `chunk` bytes at a time and parsed with `CsvText`.
+    fn rows_by_text(src: &mut CsvFileSource, skip: usize, chunk: usize) -> Vec<RowOutcome> {
+        let mut row = vec![0.0; src.n_cols()];
+        src.rewind().unwrap();
+        for _ in 0..skip {
+            let _ = src.next_row(&mut row);
+        }
+        let mut all = Vec::new();
+        let mut text = Vec::new();
+        loop {
+            let first_line = src.read_text(&mut text, chunk).unwrap().unwrap();
+            if text.is_empty() {
+                return all;
+            }
+            let mut lines = crate::csv::CsvText::new(&text, first_line);
+            loop {
+                let got = lines.next_row(&mut row);
+                let Some(o) = outcome(&row, got) else { break };
+                all.push(o);
+            }
+        }
+    }
+
+    /// Seeded CSV text with every kind of line the parser treats apart.
+    fn seeded_csv(seed: u64, header: bool, bom: bool, crlf: bool, final_newline: bool) -> Vec<u8> {
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(seed);
+        let eol: &[u8] = if crlf { b"\r\n" } else { b"\n" };
+        let mut text = Vec::new();
+        if bom {
+            text.extend_from_slice(b"\xEF\xBB\xBF");
+        }
+        if header {
+            text.extend_from_slice(b"a, b ,c,d");
+            text.extend_from_slice(eol);
+        }
+        for i in 0..120 {
+            // The first line is a clean row: it fixes the width when there
+            // is no header.
+            let kind = if i == 0 { 19 } else { rng.usize_in(0..20) };
+            let line: Vec<u8> = match kind {
+                0 => Vec::new(),
+                1 => b" \t ".to_vec(),
+                2 => b"1,2,3".to_vec(),
+                3 => b"1,2,3,4,5".to_vec(),
+                4 => b"1,x,3,4".to_vec(),
+                5 => b"1,nan,3, ".to_vec(),
+                6 => b"\xff,2,3,4".to_vec(),
+                7 => format!("{},{},{},{}", " 9".repeat(40), 1, 2, 3).into_bytes(),
+                _ => (0..4)
+                    .map(|_| {
+                        let v = (rng.next_f64() - 0.5) * 1e4;
+                        if rng.usize_in(0..2) == 0 {
+                            format!("{v:.4}")
+                        } else {
+                            format!(" {v} ")
+                        }
+                    })
+                    .collect::<Vec<_>>()
+                    .join(",")
+                    .into_bytes(),
+            };
+            text.extend_from_slice(&line);
+            if i < 119 || final_newline {
+                text.extend_from_slice(eol);
+            }
+        }
+        text
+    }
+
+    /// The rows and errors `CsvText` parses out of `read_text`'s chunks are
+    /// those `next_row` yields — bits and error text, with absolute line
+    /// numbers — at every chunk size from 1 byte past the file's length,
+    /// after a skipped prefix too, on files with blank and whitespace-only
+    /// lines, CRLF ends, a byte-order mark with and without a header, a
+    /// line that is not UTF-8, ragged rows, bad tokens, lines longer than
+    /// a chunk and a last line with no line end.
+    #[test]
+    fn text_chunks_parse_like_rows_read_one_by_one() {
+        let dir = workdir("source");
+        let mut seed = 0;
+        for header in [true, false] {
+            for bom in [true, false] {
+                for (crlf, final_newline) in [(false, true), (true, true), (false, false)] {
+                    seed += 1;
+                    let text = seeded_csv(seed, header, bom, crlf, final_newline);
+                    let path = write_tmp(&dir, &format!("chunks_{seed}.csv"), &text);
+                    let mut src = CsvFileSource::open(&path, header).unwrap();
+                    let mut sizes: Vec<usize> = (1..=48).collect();
+                    sizes.extend([64, 100, 255, 1000, 4096, text.len() - 1, text.len()]);
+                    sizes.extend([text.len() + 1, 2 * text.len()]);
+                    for skip in [0, 7] {
+                        let want = rows_one_by_one(&mut src, skip);
+                        assert!(want.iter().any(|o| o.is_err()) && want.len() > 80);
+                        for &chunk in &sizes {
+                            let got = rows_by_text(&mut src, skip, chunk);
+                            let first_difference = (0..got.len().max(want.len()))
+                                .find(|&i| got.get(i) != want.get(i))
+                                .map(|i| (i, got.get(i), want.get(i)));
+                            assert_eq!(
+                                first_difference, None,
+                                "seed {seed}, chunk {chunk}, skip {skip}: (row, text, one by one)"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

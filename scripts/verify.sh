@@ -113,11 +113,15 @@ cargo build --release
 cargo test -q
 
 # The CI step "Bit-identity and serve suites (release)": the covariance
-# kernel vectorizes only when optimized, and some serve races only show
-# when answers are fast.
-echo "== bit-identity and serve suites (release) =="
+# kernel vectorizes only when optimized, the two CSV scan workers race
+# differently when parsing is fast, and some serve races only show when
+# answers are fast.
+echo "== bit-identity, CSV scan and serve suites (release) =="
 cargo test --release -q -p ratio-rules --lib
 cargo test --release -q --test scan_equivalence --test golden --test robustness --test distributed_chaos
+cargo test --release -q -p dataset --lib
+cargo test --release -q -p ratio-rules-cli
+cargo test --release -q --test end_to_end
 cargo test --release -q --test serve_e2e --test registry_e2e
 cargo test --release -q -p serve --lib
 

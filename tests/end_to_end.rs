@@ -12,10 +12,29 @@ use ratio_rules::miner::RatioRuleMiner;
 use ratio_rules::predictor::{ColAvgs, Predictor, RuleSetPredictor};
 use ratio_rules::rules::RuleSet;
 
-fn tmpdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("rr_e2e_{}", std::process::id()));
+/// A directory of one test's own under the system temp dir, removed with
+/// everything in it when dropped, so also when the test fails.
+struct TempDir(std::path::PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = std::path::Path;
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn tmpdir() -> TempDir {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("rr_e2e_{}_{n}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 /// Mine rules from a CSV file on disk — the paper's actual deployment
@@ -53,7 +72,6 @@ fn mine_from_disk_in_a_single_pass() {
     {
         assert!((a - b).abs() < 1e-12);
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
 /// Train on 90%, evaluate GE_1 on 10%, compare against col-avgs, fill a
@@ -181,8 +199,6 @@ fn per_day_shards_merge_to_concatenated_mining() {
     for (a, b) in chained.rule(0).loadings.iter().zip(&whole.rule(0).loadings) {
         assert!((a - b).abs() < 1e-12);
     }
-    std::fs::remove_file(&day1).unwrap();
-    std::fs::remove_file(&day2).unwrap();
 }
 
 /// Rule mining is invariant to row order (the covariance is a sum).

@@ -9,6 +9,7 @@
 //! agreement with the serial fold.
 
 use dataset::columnar::{write_block_file, ColumnarBlockSource};
+use dataset::source::CsvFileSource;
 use linalg::Matrix;
 use ratio_rules::covariance::CovarianceAccumulator;
 use ratio_rules::cutoff::Cutoff;
@@ -16,11 +17,39 @@ use ratio_rules::miner::RatioRuleMiner;
 use ratio_rules::parallel::{covariance_parallel, tree_merge};
 use ratio_rules::resilience::{ScanCheckpoint, ScanPolicy, Scanner};
 use ratio_rules::rules::RuleSet;
+use std::path::{Path, PathBuf};
+
+/// A directory of one test's own under the system temp dir, removed with
+/// everything in it when dropped, so also when the test fails.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn workdir(test: &str) -> TempDir {
+    let dir = std::env::temp_dir().join(format!("rr_equiv_{test}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    TempDir(dir)
+}
 
 fn workload() -> Matrix {
-    // Low-rank structure plus deterministic jitter: interesting spectra,
-    // no randomness, reproducible bits.
-    Matrix::from_fn(300, 6, |i, j| {
+    workload_rows(300)
+}
+
+/// The workload's first `n` rows. Low-rank structure plus deterministic
+/// jitter: interesting spectra, no randomness, reproducible bits.
+fn workload_rows(n: usize) -> Matrix {
+    Matrix::from_fn(n, 6, |i, j| {
         let t = 1.0 + i as f64;
         let base = t * [6.0, 5.0, 4.0, 3.0, 2.0, 1.0][j];
         base + ((i * 13 + j * 7) % 17) as f64 * 0.01
@@ -63,8 +92,7 @@ fn rowwise_blocked_and_columnar_mining_are_bit_identical() {
     assert_rules_bits_eq(&reference, &blocked_rules, "blocked");
 
     // Columnar path: CSV-free RRCB file through the resilient pipeline.
-    let dir = std::env::temp_dir().join(format!("rr_equiv_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = workdir("columnar");
     let path = dir.join("workload.rrcb");
     write_block_file(&path, x.cols(), x.rows(), x.data()).unwrap();
     let mut src = ColumnarBlockSource::open(&path).unwrap();
@@ -76,6 +104,45 @@ fn rowwise_blocked_and_columnar_mining_are_bit_identical() {
     // bit difference must come from the scan path itself.
     let columnar_rules = RatioRuleMiner::new(cutoff).finish(&acc).unwrap();
     assert_rules_bits_eq(&reference, &columnar_rules, "columnar");
+}
+
+/// The default `mine` path: a CSV of many 64 KiB chunks, written with
+/// round-trip `{}` cells, scanned by `Scanner::scan` (both workers parse
+/// its chunks, and each chunk's rows fold in file order), mines the bits
+/// of the row-at-a-time reference over the same rows.
+#[test]
+fn multi_chunk_csv_mining_is_bit_identical_to_the_rowwise_reference() {
+    let x = workload_rows(30_000);
+    let cutoff = Cutoff::FixedK(3);
+    let mut serial = CovarianceAccumulator::new(x.cols());
+    for row in x.row_iter() {
+        serial.push_row(row).unwrap();
+    }
+    let reference = RatioRuleMiner::new(cutoff).finish(&serial).unwrap();
+
+    let dir = workdir("csv");
+    let path = dir.join("workload.csv");
+    let mut text = String::from("a,b,c,d,e,f\n");
+    for row in x.row_iter() {
+        let cells: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
+        text.push_str(&cells.join(","));
+        text.push('\n');
+    }
+    assert!(
+        text.len() > 16 * 64 * 1024,
+        "{} bytes is too few chunks",
+        text.len()
+    );
+    std::fs::write(&path, text).unwrap();
+    for run in 0..3 {
+        let mut src = CsvFileSource::open(&path, true).unwrap();
+        let mut scanner = Scanner::new(x.cols(), ScanPolicy::Strict);
+        assert_eq!(scanner.scan(&mut src).unwrap().rows_absorbed, x.rows());
+        let rules = RatioRuleMiner::new(cutoff)
+            .finish(scanner.accumulator())
+            .unwrap();
+        assert_rules_bits_eq(&reference, &rules, &format!("CSV, run {run}"));
+    }
 }
 
 /// The distributed-mining bit-identity claim, minus the sockets: shard
